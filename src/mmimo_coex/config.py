@@ -171,11 +171,13 @@ class ScenarioConfig:
 
 def load_config(path):
     """Read a flat JSON configuration file; unknown keys are rejected."""
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read ({exc.strerror})") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected a flat JSON object")
     return ScenarioConfig.from_dict(data)

@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import beamforming, mac, phy
+from .blas import single_blas_thread
 from .channel import ChannelTable, FadingParams, received_covariance
 from .errors import SingularChannelError
 from .geometry import ROLE_AP, associate, generate_drop, validate_coverage
@@ -164,12 +165,11 @@ class RoundMedium:
             powers,
             noise_power=self._noise(x_id),
         )
-        n = self.cfg.n_nulls
+        sub = beamforming.dominant_subspace(z, self.cfg.n_nulls)
         if self.cfg.null_cap_by_energy:
-            eigenvalues = np.linalg.eigvalsh(z)
-            n = min(n, int(np.sum(eigenvalues > 3.0 * self._noise(x_id))))
-        self._subspace = beamforming.dominant_subspace(z, n)
-        return self._subspace
+            sub.n_dominant = min(sub.n_dominant, int(np.sum(sub.eigenvalues > 3.0 * self._noise(x_id))))
+        self._subspace = sub
+        return sub
 
     # ---- admission ---------------------------------------------------------
 
@@ -390,8 +390,10 @@ def run_simulation(config):
 
     Every drop owns an independent child RNG stream spawned from the run
     seed, so results are reproducible and drops could execute in any order.
+    The drops run on one OpenBLAS thread; the caller's count is restored.
     """
     config.validate()
     root = np.random.SeedSequence(config.seed)
-    drops = [run_drop(config, seq) for seq in root.spawn(config.n_drops)]
+    with single_blas_thread():
+        drops = [run_drop(config, seq) for seq in root.spawn(config.n_drops)]
     return ResultSet(config=config, drops=drops)

@@ -2,7 +2,7 @@
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,6 +28,7 @@ class RateTable:
     """Ordered MCS lookup; below the first row the link is in outage (rate 0)."""
 
     rows: tuple = DEFAULT_RATE_ROWS
+    thresholds: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rows = tuple((float(s), float(r)) for s, r in self.rows)
@@ -37,6 +38,7 @@ class RateTable:
             if s1 <= s0 or r1 <= r0:
                 raise ValueError("rate table rows must increase strictly in SINR and rate")
         object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "thresholds", tuple(s for s, _ in rows))
 
 
 @dataclass(frozen=True)
@@ -105,6 +107,5 @@ def compute_sinr(user_id, serving_id, active_ids, links, powers, precoders, nois
 
 def map_rate(sinr_db, table):
     """Largest rate whose SINR threshold the link clears; 0 below the table."""
-    thresholds = [row[0] for row in table.rows]
-    idx = bisect_right(thresholds, sinr_db)
+    idx = bisect_right(table.thresholds, sinr_db)
     return 0.0 if idx == 0 else table.rows[idx - 1][1]

@@ -66,6 +66,18 @@ def test_validate_config_bad(tmp_path, capsys):
     assert "mystery" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "validate-config"])
+@pytest.mark.parametrize("content", [None, b"\xff\xfe not utf-8"])
+def test_unreadable_config_file_exits_2(tmp_path, capsys, command, content):
+    path = tmp_path / "cfg.json"
+    if content is not None:
+        path.write_bytes(content)
+    assert main([command, "--config", str(path)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert str(path) in err
+    assert len(err.splitlines()) == 1
+
+
 def test_run_rejects_invalid_override(tmp_path, capsys):
     code = main(["run", "--scenario", "A", "--ptr", "2.0", "--drops", "1", "--rounds", "1", "--out", str(tmp_path / "x")])
     assert code == 2

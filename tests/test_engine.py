@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from mmimo_coex import mac
+from mmimo_coex import engine, mac
+from mmimo_coex.blas import openblas_thread_api
+from mmimo_coex.channel import received_covariance
 from mmimo_coex.config import ScenarioConfig
 from mmimo_coex.engine import (
     CENTRAL_AP,
@@ -138,6 +140,59 @@ def test_elbt_without_nulls_equals_lbt_sensing():
     for (p_r, s_r), (p_f, s_f) in zip(sources_res, sources_full):
         assert p_r == pytest.approx(p_f, rel=1e-9)
         assert s_r == pytest.approx(s_f, rel=1e-9)
+
+
+def test_null_cap_by_energy_counts_eigenvalues_above_noise():
+    cfg = ScenarioConfig(scenario="C", null_cap_by_energy=True, p_tr=1.0, n_drops=1, n_rounds=1, seed=13)
+    drop = init_drop(cfg, np.random.SeedSequence(21))
+    drop.table.resample(drop.rng)
+    traffic = mac.draw_traffic(drop.stas, 1.0, drop.rng)
+    medium = RoundMedium(drop, traffic, mac.MODE_ELBT)
+    sub = medium._covariance_subspace(CENTRAL_AP)
+
+    # reference: a separate eigvalsh of the same covariance
+    ids, powers = medium._covariance_scope(CENTRAL_AP)
+    links = {(CENTRAL_AP, t): (drop.table.slow_gain[CENTRAL_AP, t], drop.table.link_h(CENTRAL_AP, t)) for t in ids}
+    z = received_covariance(
+        drop.nodes[CENTRAL_AP], [drop.nodes[t] for t in ids], links, powers, noise_power=drop.noise_ap_mw
+    )
+    above_noise = int(np.sum(np.linalg.eigvalsh(z) > 3.0 * drop.noise_ap_mw))
+    assert above_noise < cfg.n_nulls  # the cap binds
+    assert sub.n_dominant == above_noise
+    assert sub.dominant.shape == (cfg.mmimo_antennas, above_noise)
+
+
+def test_drops_run_on_one_blas_thread(monkeypatch):
+    api = openblas_thread_api()
+    if api is None:
+        pytest.skip("numpy's OpenBLAS not found")
+    get, set_ = api
+    caller_count = get()
+    set_(2)
+    before = get()
+    seen = []
+    real_run_drop = engine.run_drop
+
+    def spy(config, seed):
+        seen.append(get())
+        return real_run_drop(config, seed)
+
+    def failing(config, seed):
+        seen.append(get())
+        raise RuntimeError("drop failed")
+
+    try:
+        monkeypatch.setattr(engine, "run_drop", spy)
+        run_simulation(small_cfg(n_drops=2, n_rounds=2))
+        assert seen == [1, 1]
+        assert get() == before
+        monkeypatch.setattr(engine, "run_drop", failing)
+        with pytest.raises(RuntimeError, match="drop failed"):
+            run_simulation(small_cfg(n_drops=2, n_rounds=2))
+        assert seen == [1, 1, 1]
+        assert get() == before
+    finally:
+        set_(caller_count)
 
 
 def test_busy_rule_can_be_disabled():
