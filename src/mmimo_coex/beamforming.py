@@ -17,7 +17,6 @@ class PrecoderSet:
 
     W: np.ndarray  # (M_tx, K), Frobenius norm 1
     user_map: tuple = ()
-    zeta: float = 1.0
 
 
 @dataclass
@@ -43,7 +42,7 @@ def matched_filter(h, user=None):
     norm = np.linalg.norm(h)
     if norm == 0.0:
         raise ValueError("matched filter undefined for a zero channel")
-    return PrecoderSet(W=h / norm, user_map=() if user is None else (user,), zeta=float(norm**2))
+    return PrecoderSet(W=h / norm, user_map=() if user is None else (user,))
 
 
 def zf_precoder(h_bar, user_map=()):
@@ -61,7 +60,7 @@ def zf_precoder(h_bar, user_map=()):
         raise SingularChannelError("aggregate channel matrix is rank deficient")
     w_raw = np.linalg.solve(gram, h_bar.conj().T).conj().T
     zeta = float(np.linalg.norm(w_raw) ** 2)
-    return PrecoderSet(W=w_raw / np.sqrt(zeta), user_map=tuple(user_map), zeta=zeta)
+    return PrecoderSet(W=w_raw / np.sqrt(zeta), user_map=tuple(user_map))
 
 
 def zf_with_nulls(h_users, u_null, user_map=()):
@@ -86,7 +85,7 @@ def zf_with_nulls(h_users, u_null, user_map=()):
     w_full = np.linalg.solve(gram, stacked.conj().T).conj().T
     w_users = w_full[:, :k]
     zeta = float(np.linalg.norm(w_users) ** 2)
-    return PrecoderSet(W=w_users / np.sqrt(zeta), user_map=tuple(user_map), zeta=zeta)
+    return PrecoderSet(W=w_users / np.sqrt(zeta), user_map=tuple(user_map))
 
 
 def dominant_subspace(z, n_dominant):
@@ -110,6 +109,8 @@ def dominant_subspace(z, n_dominant):
 
 
 def residual_power(sub, z_vec):
-    """Power of a received vector after projecting out the dominant directions."""
-    sigma = sub.complement
-    return float(np.linalg.norm(sigma @ (sigma.conj().T @ np.asarray(z_vec, dtype=complex))) ** 2)
+    """Power of a received vector after projecting out the dominant directions.
+
+    The complement has orthonormal columns, so ||S S^H z|| = ||S^H z||.
+    """
+    return float(np.linalg.norm(sub.complement.conj().T @ np.asarray(z_vec, dtype=complex)) ** 2)

@@ -11,11 +11,9 @@ Conventions
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import distance_3d
 from .units import db_to_linear
 
 # InH path-loss constants (intercept, log-distance slope); the carrier adds
@@ -25,28 +23,6 @@ INH_NLOS = (11.5, 43.3)
 
 SHADOW_SIGMA_LOS_DB = 3.0
 SHADOW_SIGMA_NLOS_DB = 4.0
-
-
-@dataclass(frozen=True)
-class FadingParams:
-    """Ricean K-factor model (log-normal, dB domain) and carrier frequency."""
-
-    k_factor_mean_db: float = 9.0
-    k_factor_std_db: float = 5.0
-    carrier_ghz: float = 5.18
-
-    def __post_init__(self):
-        if self.k_factor_std_db < 0:
-            raise ValueError("k_factor_std_db must be >= 0")
-
-
-@dataclass
-class LinkChannel:
-    los: bool
-    path_loss_db: float
-    shadowing_db: float
-    slow_gain_linear: float
-    H: np.ndarray  # (M_tx, M_rx)
 
 
 def los_probability(d_3d):
@@ -79,100 +55,22 @@ def shadowing_db(los, rng, size=None, sigma_los=SHADOW_SIGMA_LOS_DB, sigma_nlos=
     return rng.normal(0.0, 1.0, size) * sigma if size is not None else rng.normal(0.0, sigma)
 
 
-def steering_vector(m, rng):
-    """Unit-modulus array response in a random direction with a random phase.
+def received_covariance(x, active, links, powers, noise_power=0.0):
+    """Covariance of the signal received at node x from the active
+    transmitters, each radiating without precoding.
 
-    Perfect-square antenna counts are arranged as a half-wavelength planar
-    grid (6x6 for 36 elements); any other count falls back to a uniform
-    linear array.
-    """
-    psi = rng.uniform(0.0, 2.0 * np.pi)
-    if m == 1:
-        return np.array([np.exp(1j * psi)])
-    az = rng.uniform(0.0, 2.0 * np.pi)
-    cos_el = rng.uniform(-1.0, 1.0)
-    sin_el = math.sqrt(1.0 - cos_el**2)
-    kx = np.pi * sin_el * math.cos(az)
-    ky = np.pi * sin_el * math.sin(az)
-    side = math.isqrt(m)
-    if side * side == m:
-        rows, cols = np.divmod(np.arange(m), side)
-        phases = rows * kx + cols * ky + psi
-    else:
-        phases = np.arange(m) * kx + psi
-    return np.exp(1j * phases)
-
-
-def ricean_fading(m_tx, m_rx, k_linear, rng):
-    """Fading matrix (m_tx, m_rx): rank-one LOS part mixed with i.i.d. Rayleigh.
-
-    Entries have unit average power; k_linear = 0 gives pure Rayleigh and
-    k_linear = inf gives the unit-modulus LOS matrix.
-    """
-    a_tx = steering_vector(m_tx, rng)
-    a_rx = steering_vector(m_rx, rng)
-    h_los = np.outer(a_tx, a_rx.conj())
-    if math.isinf(k_linear):
-        return h_los
-    h_ray = (rng.standard_normal((m_tx, m_rx)) + 1j * rng.standard_normal((m_tx, m_rx))) / math.sqrt(2.0)
-    return math.sqrt(k_linear / (k_linear + 1.0)) * h_los + math.sqrt(1.0 / (k_linear + 1.0)) * h_ray
-
-
-def sample_link(i, j, params, rng, sigma_los=SHADOW_SIGMA_LOS_DB, sigma_nlos=SHADOW_SIGMA_NLOS_DB):
-    """Draw the block-fading channel between nodes i (receiver) and j (transmitter).
-
-    The draw is canonicalized on the unordered pair, so sampling (j, i) from a
-    generator in the same state returns exactly the conjugate-transposed
-    matrix (reciprocity). LOS links are Ricean with a log-normal K factor;
-    NLOS links are Rayleigh.
-    """
-    if i.id == j.id:
-        raise ValueError("no self links")
-    lo, hi = (i, j) if i.id < j.id else (j, i)
-    d = distance_3d(lo, hi)
-    los = bool(rng.random() < los_probability(d))
-    shadow = float(shadowing_db(los, rng, sigma_los=sigma_los, sigma_nlos=sigma_nlos))
-    pl = path_loss_db(d, los, params.carrier_ghz)
-    if los:
-        k_db = rng.normal(params.k_factor_mean_db, params.k_factor_std_db)
-        k_lin = float(db_to_linear(k_db))
-    else:
-        k_lin = 0.0
-    h_canonical = ricean_fading(hi.num_antennas, lo.num_antennas, k_lin, rng)  # receiver lo, tx hi
-    h = h_canonical if i.id == lo.id else h_canonical.conj().T
-    return LinkChannel(
-        los=los,
-        path_loss_db=float(pl),
-        shadowing_db=shadow,
-        slow_gain_linear=float(db_to_linear(-(pl + shadow))),
-        H=h,
-    )
-
-
-def _gain_and_h(entry):
-    if isinstance(entry, LinkChannel):
-        return entry.slow_gain_linear, entry.H
-    return entry
-
-
-def received_covariance(x, active, links, powers, precoders=None, noise_power=0.0):
-    """Covariance of the signal received at node x from the active transmitters.
-
-    Z = sum_j P_j g_xj (H_xj^H W_j)(H_xj^H W_j)^H + noise_power * I, which is
-    Hermitian PSD by construction. `links` maps (x.id, j.id) to a LinkChannel
-    or a (slow_gain_linear, H) pair; single-antenna transmitters default to
-    W = [[1]].
+    Z = sum_j P_j g_xj H_xj^H H_xj + noise_power * I, which is Hermitian PSD
+    by construction. `links` maps (x.id, j.id) to a (slow_gain_linear, H) pair.
     """
     m = x.num_antennas
     z = noise_power * np.eye(m, dtype=complex)
     for j in active:
         if j.id == x.id:
             continue
-        g, h = _gain_and_h(links[(x.id, j.id)])
+        g, h = links[(x.id, j.id)]
         if h.shape[1] != m:
             raise ValueError(f"channel to node {j.id} does not match {m} receive antennas")
-        w = None if precoders is None else precoders.get(j.id)
-        a = h.conj().T if w is None else h.conj().T @ w
+        a = h.conj().T
         z += (powers[j.id] * g) * (a @ a.conj().T)
     return (z + z.conj().T) / 2.0
 
@@ -186,13 +84,13 @@ class ChannelTable:
     live in a Hermitian coefficient matrix, and each array-node link keeps a
     length-M vector v_j with the convention that the amplitude at j for
     precoder column w is v_j^H w and the signal received by the array from j
-    is proportional to v_j.
+    is proportional to v_j. Path-loss, shadowing, K-factor and carrier
+    parameters are read from the scenario configuration.
     """
 
-    def __init__(self, nodes, params, rng, sigma_los=SHADOW_SIGMA_LOS_DB, sigma_nlos=SHADOW_SIGMA_NLOS_DB,
-                 los_coef=INH_LOS, nlos_coef=INH_NLOS):
+    def __init__(self, nodes, config, rng):
         self.n = len(nodes)
-        self.params = params
+        self.k_factor_db = (config.k_factor_mean_db, config.k_factor_std_db)
         antennas = np.array([nd.num_antennas for nd in nodes])
         multi = np.flatnonzero(antennas > 1)
         if len(multi) > 1:
@@ -208,8 +106,10 @@ class ChannelTable:
 
         d_pairs = self.dist[self._iu]
         los_pairs = rng.random(n_pairs) < los_probability(d_pairs)
-        shadow_pairs = shadowing_db(los_pairs, rng, size=n_pairs, sigma_los=sigma_los, sigma_nlos=sigma_nlos)
-        pl_pairs = path_loss_db(d_pairs, los_pairs, params.carrier_ghz, los_coef, nlos_coef)
+        shadow_pairs = shadowing_db(los_pairs, rng, n_pairs, config.shadowing_sigma_los_db, config.shadowing_sigma_nlos_db)
+        los_coef = (config.pl_los_intercept, config.pl_los_slope)
+        nlos_coef = (config.pl_nlos_intercept, config.pl_nlos_slope)
+        pl_pairs = path_loss_db(d_pairs, los_pairs, config.carrier_ghz, los_coef, nlos_coef)
 
         self.los = np.zeros((self.n, self.n), dtype=bool)
         self.los[self._iu] = los_pairs
@@ -230,7 +130,7 @@ class ChannelTable:
         n_pairs = len(iu[0])
         los_pairs = self.los[iu]
 
-        k_db = rng.normal(self.params.k_factor_mean_db, self.params.k_factor_std_db, n_pairs)
+        k_db = rng.normal(*self.k_factor_db, n_pairs)
         k_lin = np.where(los_pairs, db_to_linear(k_db), 0.0)
         ray = (rng.standard_normal(n_pairs) + 1j * rng.standard_normal(n_pairs)) / math.sqrt(2.0)
         phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n_pairs))
@@ -242,7 +142,7 @@ class ChannelTable:
 
         if self.array_node is not None:
             x, m = self.array_node, self.array_size
-            k_db_x = rng.normal(self.params.k_factor_mean_db, self.params.k_factor_std_db, n)
+            k_db_x = rng.normal(*self.k_factor_db, n)
             k_x = np.where(self.los[x], db_to_linear(k_db_x), 0.0)
             az = rng.uniform(0.0, 2.0 * np.pi, n)
             cos_el = rng.uniform(-1.0, 1.0, n)

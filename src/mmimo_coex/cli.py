@@ -52,7 +52,10 @@ def cmd_run(args):
 def cmd_sweep(args):
     base = _base_config(args)
     scenarios = [s.strip() for s in args.scenarios.split(",") if s.strip()]
-    ptrs = [float(p) for p in args.ptrs.split(",")]
+    try:
+        ptrs = [float(p) for p in args.ptrs.split(",")]
+    except ValueError:
+        raise ConfigError(f"--ptrs: expected comma-separated numbers, got {args.ptrs!r}") from None
     rows = []
     for scenario in scenarios:
         for p_tr in ptrs:

@@ -3,6 +3,8 @@ table, loadable from a JSON file with strict key checking."""
 
 import dataclasses
 import json
+import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -20,35 +22,69 @@ _SCENARIO_ALIASES = {
 COVARIANCE_SCOPES = ("active", "persistent")
 OUTPUT_FORMATS = ("csv", "json")
 
+# Declared field type -> (accepted values, what the error message asks for).
+# A bool is not a number here, and a float field must also be finite.
+_TYPES = {
+    float: (numbers.Real, "a finite number"),
+    int: (numbers.Integral, "an integer"),
+    bool: (bool, "true or false"),
+    str: (str, "a string"),
+}
+# Value bounds as (predicate, reason), checked once a field's type is right.
+_FRACTION = (lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]")
+_NON_NEGATIVE = (lambda v: v >= 0, "must be >= 0")
+_AT_LEAST_ONE = (lambda v: v >= 1, "must be >= 1")
+_POSITIVE = (lambda v: v > 0, "must be > 0")
+
+
+def _one_of(choices):
+    return (lambda v: v in choices, f"must be one of {choices}")
+
+
+def _bounded(default, bound):
+    return dataclasses.field(default=default, metadata={"bound": bound})
+
+
+def _fault(value, declared, bound):
+    """Why a field of type `declared` with `bound` cannot hold `value`, or None."""
+    if declared in _TYPES:
+        accepted, wanted = _TYPES[declared]
+        well_typed = isinstance(value, accepted) and isinstance(value, bool) == (declared is bool)
+        if not well_typed or (declared is float and not math.isfinite(value)):
+            return f"must be {wanted}"
+    if bound is not None and not bound[0](value):
+        return bound[1]
+    return None
+
 
 @dataclass
 class ScenarioConfig:
     # Run control
-    scenario: str = "C"
-    p_tr: float = 1.0
-    n_drops: int = 500
-    n_rounds: int = 50
-    seed: int = 1
+    scenario: str = _bounded("C", _one_of(SCENARIOS))
+    p_tr: float = _bounded(1.0, _FRACTION)
+    n_drops: int = _bounded(500, _NON_NEGATIVE)
+    n_rounds: int = _bounded(50, _NON_NEGATIVE)
+    seed: int = _bounded(1, _NON_NEGATIVE)
 
     # Deployment
-    n_stas: int = 30
-    floor_width_m: float = 120.0
-    floor_depth_m: float = 50.0
-    ap_height_m: float = 3.0
-    sta_height_m: float = 1.5
+    n_stas: int = _bounded(30, _AT_LEAST_ONE)
+    floor_width_m: float = _bounded(120.0, _POSITIVE)
+    floor_depth_m: float = _bounded(50.0, _POSITIVE)
+    ap_height_m: float = _bounded(3.0, _POSITIVE)
+    sta_height_m: float = _bounded(1.5, _POSITIVE)
     ap_max_power_dbm: float = 24.0
     sta_max_power_dbm: float = 18.0
     min_rss_dbm: float = -82.0
     redraw_uncovered: bool = False
 
     # Array dimensioning (central AP in scenarios B/C)
-    mmimo_antennas: int = 36
-    max_streams: int = 4
-    n_nulls: int = 24
+    mmimo_antennas: int = _bounded(36, _AT_LEAST_ONE)
+    max_streams: int = _bounded(4, _AT_LEAST_ONE)
+    n_nulls: int = _bounded(24, _NON_NEGATIVE)
 
     # RF and channel model
-    carrier_ghz: float = 5.18
-    bandwidth_hz: float = 20e6
+    carrier_ghz: float = _bounded(5.18, _POSITIVE)
+    bandwidth_hz: float = _bounded(20e6, _POSITIVE)
     noise_psd_dbm_hz: float = -174.0
     sta_noise_figure_db: float = 9.0
     ap_noise_figure_db: float = 9.0
@@ -56,28 +92,28 @@ class ScenarioConfig:
     pl_los_slope: float = 16.9
     pl_nlos_intercept: float = 11.5
     pl_nlos_slope: float = 43.3
-    shadowing_sigma_los_db: float = 3.0
-    shadowing_sigma_nlos_db: float = 4.0
+    shadowing_sigma_los_db: float = _bounded(3.0, _NON_NEGATIVE)
+    shadowing_sigma_nlos_db: float = _bounded(4.0, _NON_NEGATIVE)
     k_factor_mean_db: float = 9.0
-    k_factor_std_db: float = 5.0
+    k_factor_std_db: float = _bounded(5.0, _NON_NEGATIVE)
 
     # Channel access
     gamma_lbt_dbm: float = -62.0
     gamma_preamble_dbm: float = -82.0
     preamble_min_sinr_db: float = -0.8
-    preamble_window_slots: int = 6
-    cw_slots: int = 16
+    preamble_window_slots: int = _bounded(6, _NON_NEGATIVE)
+    cw_slots: int = _bounded(16, _AT_LEAST_ONE)
     ap_busy_rx_withdraws: bool = True
 
     # Traffic and the LBT/eLBT service pattern
-    ul_fraction: float = 0.2
-    dl_airtime_fraction: float = 0.8
-    elbt_fraction: float = 0.4
-    pattern_period: int = 5
+    ul_fraction: float = _bounded(0.2, _FRACTION)
+    dl_airtime_fraction: float = _bounded(0.8, _FRACTION)
+    elbt_fraction: float = _bounded(0.4, _FRACTION)
+    pattern_period: int = _bounded(5, _AT_LEAST_ONE)
     partition_enabled: bool = True
 
     # Covariance estimation for the nulling AP
-    covariance_scope: str = "persistent"
+    covariance_scope: str = _bounded("persistent", _one_of(COVARIANCE_SCOPES))
     covariance_includes_own_cell: bool = False
     null_cap_by_energy: bool = False
 
@@ -86,13 +122,16 @@ class ScenarioConfig:
 
     # Output
     out_dir: str = "results"
-    out_format: str = "csv"
+    out_format: str = _bounded("csv", _one_of(OUTPUT_FORMATS))
 
     def __post_init__(self):
         key = str(self.scenario).upper()
         if key in _SCENARIO_ALIASES:
             self.scenario = _SCENARIO_ALIASES[key]
-        self.rate_table = tuple(tuple(row) for row in self.rate_table)
+        try:
+            self.rate_table = tuple(tuple(row) for row in self.rate_table)
+        except TypeError:
+            pass  # not a list of rows: validate() reports it
 
     @property
     def ap_antennas(self):
@@ -100,53 +139,26 @@ class ScenarioConfig:
         return (1, 1, 1) if self.scenario == "A" else (1, self.mmimo_antennas, 1)
 
     def validate(self):
-        """Raise ConfigError naming every offending field."""
-        bad = []
-        if self.scenario not in SCENARIOS:
-            bad.append(f"scenario (got {self.scenario!r}, want one of {SCENARIOS})")
-        if not 0.0 <= self.p_tr <= 1.0:
-            bad.append("p_tr (must lie in [0, 1])")
-        if self.n_drops < 0:
-            bad.append("n_drops (must be >= 0)")
-        if self.n_rounds < 0:
-            bad.append("n_rounds (must be >= 0)")
-        if self.n_stas < 1:
-            bad.append("n_stas (must be >= 1)")
-        for name in ("floor_width_m", "floor_depth_m", "ap_height_m", "sta_height_m", "bandwidth_hz", "carrier_ghz"):
-            if getattr(self, name) <= 0:
-                bad.append(f"{name} (must be > 0)")
-        if self.mmimo_antennas < 1:
-            bad.append("mmimo_antennas (must be >= 1)")
-        if self.max_streams < 1:
-            bad.append("max_streams (must be >= 1)")
-        if self.n_nulls < 0:
-            bad.append("n_nulls (must be >= 0)")
-        if self.scenario == "C" and self.n_nulls + self.max_streams > self.mmimo_antennas:
-            bad.append("n_nulls (n_nulls + max_streams must not exceed mmimo_antennas)")
-        if self.scenario != "A" and self.max_streams > self.mmimo_antennas:
-            bad.append("max_streams (must not exceed mmimo_antennas)")
-        if self.cw_slots < 1:
-            bad.append("cw_slots (must be >= 1)")
-        if not 0.0 <= self.ul_fraction <= 1.0:
-            bad.append("ul_fraction (must lie in [0, 1])")
-        if not 0.0 <= self.dl_airtime_fraction <= 1.0:
-            bad.append("dl_airtime_fraction (must lie in [0, 1])")
-        if not 0.0 <= self.elbt_fraction <= 1.0:
-            bad.append("elbt_fraction (must lie in [0, 1])")
-        if self.pattern_period < 1:
-            bad.append("pattern_period (must be >= 1)")
-        if self.k_factor_std_db < 0:
-            bad.append("k_factor_std_db (must be >= 0)")
-        for name in ("shadowing_sigma_los_db", "shadowing_sigma_nlos_db"):
-            if getattr(self, name) < 0:
-                bad.append(f"{name} (must be >= 0)")
-        if self.covariance_scope not in COVARIANCE_SCOPES:
-            bad.append(f"covariance_scope (got {self.covariance_scope!r}, want one of {COVARIANCE_SCOPES})")
-        if self.out_format not in OUTPUT_FORMATS:
-            bad.append(f"out_format (got {self.out_format!r}, want one of {OUTPUT_FORMATS})")
+        """Raise ConfigError naming every offending field.
+
+        Each field must hold its declared type; its bound (declared with the
+        field) and the cross-field rules apply only to well-typed values.
+        """
+        bad, faulty = [], set()
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            reason = _fault(value, f.type, f.metadata.get("bound"))
+            if reason:
+                bad.append(f"{f.name} (got {value!r}, {reason})")
+                faulty.add(f.name)
+        if not faulty & {"n_nulls", "max_streams", "mmimo_antennas"}:
+            if self.scenario == "C" and self.n_nulls + self.max_streams > self.mmimo_antennas:
+                bad.append("n_nulls (n_nulls + max_streams must not exceed mmimo_antennas)")
+            if self.scenario != "A" and self.max_streams > self.mmimo_antennas:
+                bad.append("max_streams (must not exceed mmimo_antennas)")
         try:
             RateTable(self.rate_table)
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             bad.append(f"rate_table ({exc})")
         if bad:
             raise ConfigError("invalid configuration: " + "; ".join(bad))

@@ -7,7 +7,7 @@ import numpy as np
 
 from . import beamforming, mac, phy
 from .blas import single_blas_thread
-from .channel import ChannelTable, FadingParams, received_covariance
+from .channel import ChannelTable, received_covariance
 from .errors import SingularChannelError
 from .geometry import ROLE_AP, associate, generate_drop, validate_coverage
 from .results import DropResult, ResultSet
@@ -60,7 +60,8 @@ class RoundMedium:
     CCA statistics are per-receive-antenna averages so one regulatory
     threshold applies to every aperture size. Activating an AP schedules its
     users and freezes its precoder, so later contenders sense the actual
-    radiated signal (including any radiation nulls).
+    radiated signal (including any radiation nulls). `phase` is the nulling
+    AP's LBT/eLBT phase this round in scenario C, and None otherwise.
     """
 
     def __init__(self, drop, traffic, phase):
@@ -83,6 +84,14 @@ class RoundMedium:
 
     def _node(self, node_id):
         return self.drop.nodes[node_id]
+
+    def access_mode(self, ap_id):
+        """eLBT for the nulling AP in its eLBT phase, plain LBT otherwise."""
+        return mac.MODE_ELBT if ap_id == CENTRAL_AP and self.phase == mac.MODE_ELBT else mac.MODE_LBT
+
+    def partition_phase(self, ap_id):
+        """The phase whose user partition filters this AP's DL candidates, or None."""
+        return self.phase if ap_id == CENTRAL_AP and self.cfg.partition_enabled else None
 
     def busy_receiving(self, node_id):
         """An AP whose own-cell STA already won an UL grant is mid-reception
@@ -107,29 +116,25 @@ class RoundMedium:
         return cca_slot - self.start_slot[tx_id] <= self.cfg.preamble_window_slots
 
     def sensed_rx(self, rx_id, cca_slot):
-        """Total per-antenna received power plus the (power, SINR) list of the
-        sources whose preamble is still catchable at this CCA instant."""
+        """LBT sensing: the full received signal (see `_cca_statistics`)."""
         sources = [self._source_power(rx_id, t) for t in self.active]
-        total = sum(sources) + self._noise(rx_id)
-        per_source = [
-            (p, p / (total - p))
-            for p, t in zip(sources, self.active)
-            if self._preamble_visible(t, cca_slot)
-        ]
-        return total, per_source
+        return self._cca_statistics(sources, self._noise(rx_id), cca_slot)
 
     def residual_rx(self, x_id, cca_slot):
-        """Same statistics after filtering out the dominant covariance directions."""
+        """eLBT sensing: the same statistics after filtering out the dominant
+        covariance directions, which also removes their share of the noise."""
         sub = self._covariance_subspace(x_id)
         table = self.drop.table
         m = self._node(x_id).num_antennas
-        sigma = sub.complement
-        sources = []
-        for t in self.active:
-            v = table.array_vec[t]
-            e = float(np.linalg.norm(sigma.conj().T @ v) ** 2)
-            sources.append(self.powers[t] * table.slow_gain[x_id, t] * e / m)
-        noise = self._noise(x_id) * sigma.shape[1] / m
+        sources = [
+            self.powers[t] * table.slow_gain[x_id, t] * beamforming.residual_power(sub, table.array_vec[t]) / m
+            for t in self.active
+        ]
+        return self._cca_statistics(sources, self._noise(x_id) * sub.complement.shape[1] / m, cca_slot)
+
+    def _cca_statistics(self, sources, noise, cca_slot):
+        """Total per-antenna received power plus the (power, SINR) list of the
+        sources whose preamble is still catchable at this CCA instant."""
         total = sum(sources) + noise
         per_source = [
             (p, p / (total - p))
@@ -187,18 +192,11 @@ class RoundMedium:
         return False
 
     def _activate_ap(self, ap):
-        cfg = self.cfg
-        sched_phase = None
-        n_nulls = 0
-        u_null = None
-        if ap.id == CENTRAL_AP and cfg.scenario == "C":
-            if cfg.partition_enabled:
-                sched_phase = self.phase
-            if self.phase == mac.MODE_ELBT:
-                sub = self._covariance_subspace(ap.id)
-                u_null = sub.dominant
-                n_nulls = sub.n_dominant
-        users = mac.schedule(ap.id, self.traffic, self.drop.sched, sched_phase)
+        n_nulls, u_null = 0, None
+        if self.access_mode(ap.id) == mac.MODE_ELBT:
+            sub = self._covariance_subspace(ap.id)
+            u_null, n_nulls = sub.dominant, sub.n_dominant
+        users = mac.schedule(ap.id, self.traffic, self.drop.sched, self.partition_phase(ap.id))
         if not users:
             return False
         precoder = self._build_precoder(ap, users, u_null)
@@ -249,36 +247,17 @@ def _weakest_column(h_users, u_null):
 def init_drop(config, seed):
     """Build one deployment realization with its slow-fading state."""
     rng = np.random.default_rng(seed)
-    params = FadingParams(config.k_factor_mean_db, config.k_factor_std_db, config.carrier_ghz)
-
-    def build():
+    for _ in range(1 + _MAX_REDRAWS):
         plan, nodes = generate_drop(config, rng)
-        table = ChannelTable(
-            nodes,
-            params,
-            rng,
-            sigma_los=config.shadowing_sigma_los_db,
-            sigma_nlos=config.shadowing_sigma_nlos_db,
-            los_coef=(config.pl_los_intercept, config.pl_los_slope),
-            nlos_coef=(config.pl_nlos_intercept, config.pl_nlos_slope),
-        )
-        return plan, nodes, table
-
-    plan, nodes, table = build()
-    aps, stas = nodes[:3], nodes[3:]
-    gains_db = {(s.id, a.id): table.slow_gain_db[s.id, a.id] for s in stas for a in aps}
-    powers_dbm = {a.id: a.max_power_dbm for a in aps}
-    assoc = associate(stas, aps, gains_db)
-    if config.redraw_uncovered:
-        attempts = 0
-        while not validate_coverage(assoc, gains_db, powers_dbm, config.min_rss_dbm):
-            attempts += 1
-            if attempts > _MAX_REDRAWS:
-                raise RuntimeError("could not draw a deployment meeting the coverage floor")
-            plan, nodes, table = build()
-            aps, stas = nodes[:3], nodes[3:]
-            gains_db = {(s.id, a.id): table.slow_gain_db[s.id, a.id] for s in stas for a in aps}
-            assoc = associate(stas, aps, gains_db)
+        table = ChannelTable(nodes, config, rng)
+        aps, stas = nodes[:3], nodes[3:]
+        gains_db = {(s.id, a.id): table.slow_gain_db[s.id, a.id] for s in stas for a in aps}
+        assoc = associate(stas, aps, gains_db)
+        powers_dbm = {a.id: a.max_power_dbm for a in aps}
+        if not config.redraw_uncovered or validate_coverage(assoc, gains_db, powers_dbm, config.min_rss_dbm):
+            break
+    else:
+        raise RuntimeError("could not draw a deployment meeting the coverage floor")
 
     noise_sta = phy.noise_power(config.bandwidth_hz, config.sta_noise_figure_db, config.noise_psd_dbm_hz)
     noise_ap = phy.noise_power(config.bandwidth_hz, config.ap_noise_figure_db, config.noise_psd_dbm_hz)
@@ -316,27 +295,19 @@ def run_round(drop, round_index):
     rng = drop.rng
     drop.table.resample(rng)
     traffic = mac.draw_traffic(drop.stas, cfg.p_tr, rng, cfg.ul_fraction)
-    phase = None
-    if cfg.scenario == "C":
-        phase = mac.phase_pattern(round_index, cfg.elbt_fraction, cfg.pattern_period)
+    phase = mac.phase_pattern(round_index, cfg.elbt_fraction, cfg.pattern_period) if cfg.scenario == "C" else None
+    medium = RoundMedium(drop, traffic, phase)
 
-    contenders = []
-    for ap in drop.aps:
-        cands = set(drop.sched.served[ap.id]) & traffic.active_dl
-        mode = mac.MODE_LBT
-        if ap.id == CENTRAL_AP and cfg.scenario == "C":
-            if cfg.partition_enabled:
-                cands &= drop.sched.elbt_set if phase == mac.MODE_ELBT else drop.sched.lbt_set
-            if phase == mac.MODE_ELBT:
-                mode = mac.MODE_ELBT
-        if cands:
-            contenders.append((ap.id, mode))
+    contenders = [
+        (ap.id, medium.access_mode(ap.id))
+        for ap in drop.aps
+        if mac.dl_candidates(ap.id, traffic, drop.sched, medium.partition_phase(ap.id))
+    ]
     for ap in drop.aps:
         ul_sta = mac.select_ul_sta(ap.id, traffic, drop.sched)
         if ul_sta is not None:
             contenders.append((ul_sta, mac.MODE_LBT))
 
-    medium = RoundMedium(drop, traffic, phase)
     attempts = mac.contend(contenders, medium, rng, cfg.cw_slots)
 
     user_sinr_db = {}

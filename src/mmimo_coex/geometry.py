@@ -41,11 +41,6 @@ class AssociationMap:
     served: dict  # ap_id -> tuple of sta_ids (sorted)
 
 
-def distance_3d(a, b):
-    """Euclidean distance between two node positions."""
-    return math.dist(a.position, b.position)
-
-
 def generate_drop(config, seed):
     """One deployment realization: 3 corridor APs plus uniformly dropped STAs.
 

@@ -19,12 +19,6 @@ class TrafficState:
 
     active_dl: frozenset
     active_ul: frozenset
-    dl_fraction: float = 0.8
-    ul_fraction: float = 0.2
-
-    @property
-    def has_traffic(self):
-        return self.active_dl | self.active_ul
 
 
 @dataclass
@@ -58,7 +52,7 @@ def draw_traffic(stas, p_tr, rng, ul_fraction=0.2):
     uplink = rng.random(len(sta_ids)) < ul_fraction
     dl = frozenset(s for s, a, u in zip(sta_ids, active, uplink) if a and not u)
     ul = frozenset(s for s, a, u in zip(sta_ids, active, uplink) if a and u)
-    return TrafficState(active_dl=dl, active_ul=ul, dl_fraction=1.0 - ul_fraction, ul_fraction=ul_fraction)
+    return TrafficState(active_dl=dl, active_ul=ul)
 
 
 def energy_detect(total_rx_power, gamma_lbt):
@@ -113,19 +107,24 @@ def _rotate(candidates, cursor, k):
     return wrapped[:k]
 
 
-def schedule(ap_id, traffic, state, phase=None):
-    """Pick this round's DL users for a granted AP (round robin).
-
-    Single-antenna APs serve one user; the spatial-multiplexing AP serves up
-    to its stream budget. When `phase` is given, candidates are restricted to
-    the matching eLBT/LBT partition subset.
-    """
+def dl_candidates(ap_id, traffic, state, phase=None):
+    """The set of the cell's STAs holding DL traffic; when `phase` is given,
+    only those in the matching eLBT/LBT partition subset."""
     cands = set(state.served[ap_id]) & traffic.active_dl
     if phase == MODE_ELBT:
         cands &= state.elbt_set
     elif phase == MODE_LBT:
         cands &= state.lbt_set
-    cands = sorted(cands)
+    return cands
+
+
+def schedule(ap_id, traffic, state, phase=None):
+    """Pick this round's DL users for a granted AP (round robin).
+
+    Single-antenna APs serve one user; the spatial-multiplexing AP serves up
+    to its stream budget. `phase` filters candidates as in `dl_candidates`.
+    """
+    cands = sorted(dl_candidates(ap_id, traffic, state, phase))
     k = min(state.k_max[ap_id], len(cands))
     picked = _rotate(cands, state.dl_cursor.get(ap_id, 0), k)
     state.dl_cursor[ap_id] = state.dl_cursor.get(ap_id, 0) + k

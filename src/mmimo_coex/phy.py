@@ -34,25 +34,13 @@ class RateTable:
         rows = tuple((float(s), float(r)) for s, r in self.rows)
         if not rows:
             raise ValueError("rate table needs at least one row")
+        if not all(math.isfinite(s) and math.isfinite(r) and r > 0 for s, r in rows):
+            raise ValueError("rate table entries must be finite, with positive rates")
         for (s0, r0), (s1, r1) in zip(rows, rows[1:]):
             if s1 <= s0 or r1 <= r0:
                 raise ValueError("rate table rows must increase strictly in SINR and rate")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "thresholds", tuple(s for s, _ in rows))
-
-
-@dataclass(frozen=True)
-class PowerBudget:
-    """Regulatory power computation for one transmission."""
-
-    p_max_dbm: float
-    num_antennas: int
-    n_nulls: int
-    n_streams: int
-
-    @property
-    def p_tx_dbm(self):
-        return tx_power(self.p_max_dbm, self.num_antennas, self.n_nulls, self.n_streams)
 
 
 def tx_power(p_max_dbm, num_antennas, n_nulls, n_streams):

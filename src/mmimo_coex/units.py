@@ -7,10 +7,6 @@ def db_to_linear(x_db):
     return 10.0 ** (np.asarray(x_db, dtype=float) / 10.0)
 
 
-def linear_to_db(x):
-    return 10.0 * np.log10(x)
-
-
 def dbm_to_mw(p_dbm):
     return 10.0 ** (np.asarray(p_dbm, dtype=float) / 10.0)
 

@@ -5,14 +5,12 @@ import pytest
 
 from mmimo_coex.channel import (
     ChannelTable,
-    FadingParams,
     los_probability,
     path_loss_db,
     received_covariance,
-    ricean_fading,
-    sample_link,
     shadowing_db,
 )
+from mmimo_coex.config import ScenarioConfig
 from mmimo_coex.geometry import NodeDescriptor, ROLE_AP, ROLE_STA
 
 
@@ -73,54 +71,44 @@ def test_shadowing_sigma_matches_target():
         assert abs(np.std(draws) - sigma) / sigma < 0.02
 
 
+def _array_world(n, spread_m):
+    """Node 0 carries a 36-element array; nodes 1..n-1 are single-antenna
+    STAs on a line up to `spread_m` away (all LOS below 18 m)."""
+    nodes = [node(0, (0.0, 0.0, 3.0), antennas=36, role=ROLE_AP, p=24.0)]
+    return nodes + [node(i, (spread_m * i / n, 2.0, 1.5)) for i in range(1, n)]
+
+
+def _array_power(nodes, seed, snapshots, **overrides):
+    """Per-entry powers of the array-link vectors over fading snapshots."""
+    rng = np.random.default_rng(seed)
+    table = ChannelTable(nodes, ScenarioConfig(**overrides), rng)
+    powers = []
+    for _ in range(snapshots):
+        table.resample(rng)
+        powers.append(np.abs(table.array_vec[1:]) ** 2)
+    return table, np.concatenate(powers).ravel()
+
+
 def test_ricean_pure_los_unit_modulus():
     rng = np.random.default_rng(0)
-    h = ricean_fading(36, 1, math.inf, rng)
-    assert np.allclose(np.abs(h), 1.0, atol=1e-12)
+    nodes = _array_world(40, 120.0)
+    table = ChannelTable(nodes, ScenarioConfig(k_factor_mean_db=300.0, k_factor_std_db=0.0), rng)
+    table.resample(rng)
+    los = table.los & ~np.eye(len(nodes), dtype=bool)
+    assert 0 < np.sum(los[0]) < len(nodes) - 1  # the array has LOS and NLOS links
+    assert np.allclose(np.abs(table.h[los]), 1.0, atol=1e-12)
+    assert np.allclose(np.abs(table.array_vec[los[0]]), 1.0, atol=1e-12)
 
 
 def test_rayleigh_unit_power():
-    rng = np.random.default_rng(1)
-    n = 100_000
-    h = ricean_fading(n, 1, 0.0, rng)
-    power = np.mean(np.abs(h) ** 2)
-    assert abs(power - 1.0) < 3.0 / math.sqrt(n)
+    _, power = _array_power(_array_world(60, 120.0), 1, 50, k_factor_mean_db=-300.0, k_factor_std_db=0.0)
+    assert abs(np.mean(power) - 1.0) < 3.0 / math.sqrt(power.size)
 
 
 def test_ricean_mixture_unit_power():
-    rng = np.random.default_rng(2)
-    h = ricean_fading(200, 200, 10 ** 0.9, rng)
-    assert np.mean(np.abs(h) ** 2) == pytest.approx(1.0, abs=0.02)
-
-
-# ---- link sampling -----------------------------------------------------------
-
-
-def test_sample_link_reciprocity():
-    params = FadingParams()
-    i = node(3, (10.0, 10.0, 1.5))
-    j = node(1, (60.0, 25.0, 3.0), antennas=36, role=ROLE_AP, p=24.0)
-    ch_ij = sample_link(i, j, params, np.random.default_rng(42))
-    ch_ji = sample_link(j, i, params, np.random.default_rng(42))
-    assert np.array_equal(ch_ji.H, ch_ij.H.conj().T)
-    assert ch_ij.slow_gain_linear == ch_ji.slow_gain_linear
-    assert ch_ij.H.shape == (36, 1)
-
-
-def test_sample_link_slow_gain_consistent():
-    params = FadingParams()
-    i = node(3, (0.0, 0.0, 1.5))
-    j = node(4, (30.0, 0.0, 1.5))
-    ch = sample_link(i, j, params, np.random.default_rng(3))
-    expected = 10 ** (-(ch.path_loss_db + ch.shadowing_db) / 10.0)
-    assert ch.slow_gain_linear == pytest.approx(expected, rel=1e-12)
-
-
-def test_sample_link_rejects_self():
-    params = FadingParams()
-    a = node(3, (0.0, 0.0, 1.5))
-    with pytest.raises(ValueError):
-        sample_link(a, a, params, np.random.default_rng(0))
+    table, power = _array_power(_array_world(40, 15.0), 2, 50)
+    assert np.all(table.los[0, 1:])  # every array link is Ricean
+    assert np.mean(power) == pytest.approx(1.0, abs=0.02)
 
 
 # ---- received covariance -----------------------------------------------------
@@ -179,7 +167,7 @@ def test_channel_table_matches_link_conventions():
         node(4, (70.0, 40.0, 1.5)),
     ]
     rng = np.random.default_rng(9)
-    table = ChannelTable(cfg_nodes, FadingParams(), rng)
+    table = ChannelTable(cfg_nodes, ScenarioConfig(), rng)
     table.resample(rng)
     assert table.array_node == 1
     # symmetric slow gains, zero diagonal
@@ -201,10 +189,47 @@ def test_channel_table_matches_link_conventions():
 def test_channel_table_fading_unit_power():
     nodes = [node(i, (float(3 * i), 1.0 * i, 1.5)) for i in range(40)]
     rng = np.random.default_rng(21)
-    table = ChannelTable(nodes, FadingParams(), rng)
+    table = ChannelTable(nodes, ScenarioConfig(), rng)
     samples = []
     for _ in range(50):
         table.resample(rng)
         iu = np.triu_indices(len(nodes), 1)
         samples.append(np.abs(table.h[iu]) ** 2)
     assert np.mean(np.concatenate(samples)) == pytest.approx(1.0, abs=0.02)
+
+
+def test_channel_table_reciprocity():
+    rng = np.random.default_rng(42)
+    nodes = _array_world(20, 60.0)
+    table = ChannelTable(nodes, ScenarioConfig(), rng)
+    table.resample(rng)
+    for a in range(len(nodes)):
+        for b in range(len(nodes)):
+            if a != b:
+                assert np.array_equal(table.link_h(a, b), table.link_h(b, a).conj().T)
+
+
+def test_channel_table_slow_gain_uses_configured_path_loss():
+    cfg = ScenarioConfig(
+        carrier_ghz=2.4,
+        pl_los_intercept=30.0,
+        pl_los_slope=20.0,
+        pl_nlos_intercept=15.0,
+        pl_nlos_slope=40.0,
+        shadowing_sigma_los_db=0.0,
+        shadowing_sigma_nlos_db=0.0,
+    )
+    nodes = _array_world(30, 100.0)
+    table = ChannelTable(nodes, cfg, np.random.default_rng(3))
+    for a, b in zip(*np.triu_indices(len(nodes), 1)):
+        d = math.dist(nodes[a].position, nodes[b].position)
+        pl = path_loss_db(d, table.los[a, b], cfg.carrier_ghz, (30.0, 20.0), (15.0, 40.0))
+        assert table.slow_gain_db[a, b] == pytest.approx(-pl, rel=1e-12)
+        assert table.slow_gain_db[b, a] == table.slow_gain_db[a, b]
+
+
+def test_channel_table_rejects_two_arrays():
+    nodes = _array_world(5, 10.0)
+    nodes[2] = node(2, nodes[2].position, antennas=4, role=ROLE_AP, p=24.0)
+    with pytest.raises(ValueError, match="multi-antenna"):
+        ChannelTable(nodes, ScenarioConfig(), np.random.default_rng(0))

@@ -78,6 +78,22 @@ def test_unreadable_config_file_exits_2(tmp_path, capsys, command, content):
     assert len(err.splitlines()) == 1
 
 
+def test_validate_config_rejects_mistyped_and_non_finite_values(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"p_tr": "1.0", "floor_width_m": float("nan"), "n_drops": 2.5}))
+    assert main(["validate-config", "--config", str(path)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert all(name in err for name in ("p_tr", "floor_width_m", "n_drops"))
+
+
+def test_sweep_rejects_non_numeric_ptrs(tmp_path, capsys):
+    assert main(["sweep", "--ptrs", "abc", "--out", str(tmp_path / "sweep")]) == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert "--ptrs" in err
+
+
 def test_run_rejects_invalid_override(tmp_path, capsys):
     code = main(["run", "--scenario", "A", "--ptr", "2.0", "--drops", "1", "--rounds", "1", "--out", str(tmp_path / "x")])
     assert code == 2

@@ -1,6 +1,10 @@
+import dataclasses
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmimo_coex.config import ScenarioConfig, load_config
 from mmimo_coex.errors import ConfigError
@@ -28,6 +32,65 @@ def test_validate_names_offending_fields():
         cfg.validate()
     message = str(err.value)
     assert "p_tr" in message and "cw_slots" in message
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"p_tr": "1.0"},
+        {"floor_width_m": math.nan},
+        {"n_drops": 2.5},
+        {"preamble_window_slots": -3},
+        {"rate_table": 5},
+        {"p_tr": True},
+        {"redraw_uncovered": 1},
+        {"out_dir": 3},
+        {"rate_table": [[2.0, math.inf]]},
+    ],
+    ids=[
+        "string-for-float",
+        "nan",
+        "float-for-int",
+        "negative-window",
+        "scalar-rate-table",
+        "bool-for-float",
+        "int-for-bool",
+        "int-for-string",
+        "infinite-rate",
+    ],
+)
+def test_mistyped_or_non_finite_value_rejected(data):
+    (name,) = data
+    with pytest.raises(ConfigError, match=name):
+        ScenarioConfig.from_dict(data).validate()
+
+
+_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ScenarioConfig)}
+_SMALL_NUMBERS = st.one_of(st.integers(-3, 3), st.floats(-3.0, 3.0))
+_JSON_VALUES = st.one_of(
+    st.none(),
+    st.text(max_size=4),
+    st.booleans(),
+    _SMALL_NUMBERS,
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.lists(st.one_of(_SMALL_NUMBERS, st.lists(_SMALL_NUMBERS, max_size=3)), max_size=3),
+)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(st.dictionaries(st.sampled_from(sorted(_FIELD_TYPES) + ["not_a_field"]), _JSON_VALUES, max_size=6))
+def test_any_flat_object_is_rejected_or_well_typed(data):
+    try:
+        cfg = ScenarioConfig.from_dict(data).validate()
+    except ConfigError:
+        return
+    for name, declared in _FIELD_TYPES.items():
+        value = getattr(cfg, name)
+        if declared in (int, float):
+            assert not isinstance(value, bool) and math.isfinite(value), name
+            assert isinstance(value, int if declared is int else (int, float)), name
+        elif declared in (bool, str):
+            assert isinstance(value, declared), name
 
 
 def test_nulls_plus_streams_bounded_by_antennas():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,6 @@ from mmimo_coex.geometry import (
     ROLE_AP,
     ROLE_STA,
     associate,
-    distance_3d,
     generate_drop,
     validate_coverage,
 )
@@ -107,7 +108,7 @@ def test_associate_tie_breaks_to_lowest_ap_id():
 
 def test_associate_permutation_invariant():
     aps, stas = _mini_world()
-    gains = {(s.id, a.id): -50.0 - distance_3d(s, a) for s in stas for a in aps}
+    gains = {(s.id, a.id): -50.0 - math.dist(s.position, a.position) for s in stas for a in aps}
     forward = associate(stas, aps, gains)
     backward = associate(list(reversed(stas)), list(reversed(aps)), gains)
     assert forward.serving == backward.serving
@@ -116,7 +117,7 @@ def test_associate_permutation_invariant():
 
 def test_associate_idempotent():
     aps, stas = _mini_world()
-    gains = {(s.id, a.id): -50.0 - distance_3d(s, a) for s in stas for a in aps}
+    gains = {(s.id, a.id): -50.0 - math.dist(s.position, a.position) for s in stas for a in aps}
     first = associate(stas, aps, gains)
     second = associate(stas, aps, gains)
     assert first == second

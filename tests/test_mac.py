@@ -16,16 +16,16 @@ def stas(n):
 def test_traffic_extremes():
     rng = np.random.default_rng(0)
     all_on = mac.draw_traffic(stas(20), 1.0, rng)
-    assert len(all_on.has_traffic) == 20
+    assert len(all_on.active_dl | all_on.active_ul) == 20
     none = mac.draw_traffic(stas(20), 0.0, rng)
-    assert not none.has_traffic
+    assert not none.active_dl | none.active_ul
 
 
 def test_traffic_activity_rate():
     rng = np.random.default_rng(1)
     n, p = 100_000, 0.1
     state = mac.draw_traffic(stas(n), p, rng)
-    rate = len(state.has_traffic) / n
+    rate = len(state.active_dl | state.active_ul) / n
     se = np.sqrt(p * (1 - p) / n)
     assert abs(rate - p) < 3 * se
 

@@ -43,16 +43,6 @@ def test_tx_power_capability():
         tx_power(24.0, 36, 33, 4)
 
 
-def test_power_budget_record():
-    from mmimo_coex.phy import PowerBudget
-
-    budget = PowerBudget(p_max_dbm=24.0, num_antennas=36, n_nulls=24, n_streams=4)
-    assert budget.p_tx_dbm == pytest.approx(19.2288, abs=1e-3)
-    assert budget.p_tx_dbm <= budget.p_max_dbm
-    single = PowerBudget(p_max_dbm=18.0, num_antennas=1, n_nulls=0, n_streams=1)
-    assert single.p_tx_dbm == 18.0
-
-
 # ---- noise ----------------------------------------------------------------------
 
 
