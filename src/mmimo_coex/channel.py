@@ -10,6 +10,7 @@ Conventions
   loss + shadowing + 0 dBi antenna gains) is carried separately.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -75,17 +76,45 @@ def received_covariance(x, active, links, powers, noise_power=0.0):
     return (z + z.conj().T) / 2.0
 
 
+@functools.lru_cache(maxsize=8)
+def _pair_layout(n):
+    """Read-only index tables shared by every drop of n nodes.
+
+    Returns the upper-triangle pair order of the fading draws, then for each
+    node its n-1 link partners in id order and the position of each of those
+    links in the pair order, then the off-diagonal mask they were cut with.
+    """
+    iu = np.triu_indices(n, 1)
+    pair = np.zeros((n, n), dtype=int)
+    pair[iu] = np.arange(len(iu[0]))
+    pair += pair.T
+    off_diagonal = ~np.eye(n, dtype=bool)
+    node_pairs = pair[off_diagonal].reshape(n, n - 1)
+    partners = np.nonzero(off_diagonal)[1].reshape(n, n - 1)
+    for table in (*iu, node_pairs, partners, off_diagonal):
+        table.flags.writeable = False
+    return iu, node_pairs, partners, off_diagonal
+
+
 class ChannelTable:
     """Per-drop channel state for all node pairs.
 
     Slow quantities (LOS state, path loss, shadowing) are drawn once at
-    construction; `resample` redraws the fast fading for a new block-fading
-    snapshot. At most one node may carry more than one antenna: scalar links
-    live in a Hermitian coefficient matrix, and each array-node link keeps a
-    length-M vector v_j with the convention that the amplitude at j for
-    precoder column w is v_j^H w and the signal received by the array from j
-    is proportional to v_j. Path-loss, shadowing, K-factor and carrier
-    parameters are read from the scenario configuration.
+    construction; `resample` starts a new block-fading snapshot. At most one
+    node may carry more than one antenna: scalar links form a Hermitian
+    coefficient matrix, and each array-node link keeps a length-M vector v_j
+    with the convention that the amplitude at j for precoder column w is
+    v_j^H w and the signal received by the array from j is proportional to
+    v_j. Path-loss, shadowing, K-factor and carrier parameters are read from
+    the scenario configuration.
+
+    `resample` makes every random draw of the snapshot and keeps the draws;
+    only the per-node factors of the array links are computed there. A
+    scalar coefficient is computed on first read, together with every other
+    link of its transmitter, and an array-link vector on the first read of
+    its row; both are cached until the next `resample`. Each transform is a
+    numpy operation on a slice of the draws, so every value is bit for bit
+    the one a transform of all pairs at once would give.
     """
 
     def __init__(self, nodes, config, rng):
@@ -101,7 +130,7 @@ class ChannelTable:
         pos = np.array([nd.position for nd in nodes])
         diff = pos[:, None, :] - pos[None, :, :]
         self.dist = np.sqrt(np.sum(diff**2, axis=2))
-        self._iu = np.triu_indices(self.n, 1)
+        self._iu, self._node_pairs, self._partners, off_diagonal = _pair_layout(self.n)
         n_pairs = len(self._iu[0])
 
         d_pairs = self.dist[self._iu]
@@ -121,55 +150,105 @@ class ChannelTable:
         self.slow_gain = db_to_linear(slow_db)
         np.fill_diagonal(self.slow_gain, 0.0)
 
-        self.h = None  # scalar fading coefficients, Hermitian
-        self.array_vec = None  # (n, M) link vectors of the array node
-
-    def resample(self, rng):
-        """Redraw the fast fading for every pair (one block-fading snapshot)."""
-        n, iu = self.n, self._iu
-        n_pairs = len(iu[0])
-        los_pairs = self.los[iu]
-
-        k_db = rng.normal(*self.k_factor_db, n_pairs)
-        k_lin = np.where(los_pairs, db_to_linear(k_db), 0.0)
-        ray = (rng.standard_normal(n_pairs) + 1j * rng.standard_normal(n_pairs)) / math.sqrt(2.0)
-        phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n_pairs))
-        h_pairs = np.sqrt(k_lin / (k_lin + 1.0)) * phase + np.sqrt(1.0 / (k_lin + 1.0)) * ray
-
-        h = np.zeros((n, n), dtype=complex)
-        h[iu] = h_pairs
-        self.h = h + h.conj().T
+        n = self.n
+        self._node_los = self.los[off_diagonal].reshape(n, n - 1)  # LOS state of each _partners link
+        self._pair_draws = np.empty((4, n_pairs))  # K-factor dB, Rayleigh re, im, LOS phase
+        self._h = np.zeros((n, n), dtype=complex)  # row and column j valid once node j is filled
+        self._h_ready = np.zeros(n, dtype=bool)
 
         if self.array_node is not None:
-            x, m = self.array_node, self.array_size
-            k_db_x = rng.normal(*self.k_factor_db, n)
-            k_x = np.where(self.los[x], db_to_linear(k_db_x), 0.0)
-            az = rng.uniform(0.0, 2.0 * np.pi, n)
-            cos_el = rng.uniform(-1.0, 1.0, n)
-            psi = rng.uniform(0.0, 2.0 * np.pi, n)
-            sin_el = np.sqrt(1.0 - cos_el**2)
-            kx = np.pi * sin_el * np.cos(az)
-            ky = np.pi * sin_el * np.sin(az)
+            m = self.array_size
             side = math.isqrt(m)
             if side * side == m:
                 rows, cols = np.divmod(np.arange(m), side)
             else:
                 rows, cols = np.arange(m), np.zeros(m)
-            steer = np.exp(1j * (np.outer(kx, rows) + np.outer(ky, cols) + psi[:, None]))
-            ray_x = (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))) / math.sqrt(2.0)
-            mix_los = np.sqrt(k_x / (k_x + 1.0))[:, None]
-            mix_ray = np.sqrt(1.0 / (k_x + 1.0))[:, None]
-            self.array_vec = mix_los * steer + mix_ray * ray_x
-            self.array_vec[x][:] = 0.0
+            self._ant_rows, self._ant_cols = rows.astype(float), cols.astype(float)
+            self._node_terms = np.empty((5, n))  # kx, ky, psi, LOS mix, Rayleigh mix
+            self._ray_rows = np.empty((2, n, m))
+            self._rows = np.zeros((n, m), dtype=complex)
+            self._row_ready = np.zeros(n, dtype=bool)
+
+    def resample(self, rng):
+        """Start a block-fading snapshot: make every fast-fading draw of every
+        pair; links are transformed on their first read."""
+        n = self.n
+        n_pairs = len(self._iu[0])
+        draws = self._pair_draws
+        draws[0] = rng.normal(*self.k_factor_db, n_pairs)
+        rng.standard_normal(out=draws[1])
+        rng.standard_normal(out=draws[2])
+        draws[3] = rng.uniform(0.0, 2.0 * np.pi, n_pairs)
+        self._h_ready[:] = False
+
+        if self.array_node is not None:
+            x, terms = self.array_node, self._node_terms
+            k_db_x = rng.normal(*self.k_factor_db, n)
+            k_x = np.where(self.los[x], db_to_linear(k_db_x), 0.0)
+            az = rng.uniform(0.0, 2.0 * np.pi, n)
+            cos_el = rng.uniform(-1.0, 1.0, n)
+            terms[2] = rng.uniform(0.0, 2.0 * np.pi, n)
+            sin_el = np.sqrt(1.0 - cos_el**2)
+            np.multiply(np.pi * sin_el, np.cos(az), out=terms[0])
+            np.multiply(np.pi * sin_el, np.sin(az), out=terms[1])
+            rng.standard_normal(out=self._ray_rows[0])
+            rng.standard_normal(out=self._ray_rows[1])
+            np.sqrt(k_x / (k_x + 1.0), out=terms[3])
+            np.sqrt(1.0 / (k_x + 1.0), out=terms[4])
+            self._row_ready[:] = False
+            self._row_ready[x] = True  # the array's own row stays zero
+
+    def _fill_scalar(self, tx):
+        """Compute the scalar coefficients h[tx, k] of node tx's n-1 links."""
+        k_db, re, im, phase = self._pair_draws[:, self._node_pairs[tx]]
+        k_lin = np.where(self._node_los[tx], db_to_linear(k_db), 0.0)
+        k_plus_1 = k_lin + 1.0
+        ray = (re + 1j * im) / math.sqrt(2.0)
+        h_row = np.sqrt(k_lin / k_plus_1) * np.exp(1j * phase) + np.sqrt(1.0 / k_plus_1) * ray
+        # A pair's draw is the coefficient seen by its lower-numbered node;
+        # the first tx partners (ids 0..tx-1) are the lower ones.
+        np.conjugate(h_row[:tx], out=h_row[:tx])
+        partners = self._partners[tx]
+        self._h[tx, partners] = h_row
+        self._h[partners, tx] = h_row.conj()
+        self._h_ready[tx] = True
+
+    def _fill_rows(self, ids):
+        """Compute the array-link vectors of the nodes in `ids`."""
+        kx, ky, psi, mix_los, mix_ray = self._node_terms[:, ids, None]
+        re, im = self._ray_rows[:, ids]
+        steer = np.exp(1j * (kx * self._ant_rows + ky * self._ant_cols + psi))
+        self._rows[ids] = mix_los * steer + mix_ray * ((re + 1j * im) / math.sqrt(2.0))
+        self._row_ready[ids] = True
+
+    def scalar_h(self, rx, tx):
+        """Fading coefficient of the (rx, tx) link between single-antenna nodes."""
+        if not (self._h_ready[tx] or self._h_ready[rx]):
+            self._fill_scalar(tx)
+        return self._h[rx, tx]
+
+    def array_rows(self, ids):
+        """Array-link vectors v_j, one row per node id in `ids`, shape (len(ids), M)."""
+        ids = np.asarray(ids, dtype=int)
+        todo = ids[~self._row_ready[ids]]
+        if todo.size:
+            self._fill_rows(todo)
+        return self._rows[ids]
+
+    def _row(self, j):
+        """Array-link vector of node j, a view that the next snapshot overwrites."""
+        if not self._row_ready[j]:
+            self._fill_rows([j])
+        return self._rows[j]
 
     def link_h(self, rx, tx):
         """Fading matrix of shape (M_tx, M_rx) for the (rx, tx) link."""
         x = self.array_node
         if tx == x:
-            return self.array_vec[rx][:, None]
+            return self._row(rx)[:, None]
         if rx == x:
-            return self.array_vec[tx][None, :].conj()
-        return np.array([[self.h[rx, tx]]])
+            return self._row(tx)[None, :].conj()
+        return np.array([[self.scalar_h(rx, tx)]])
 
     def emission_factor(self, rx, tx, w=None):
         """|H^H W|^2 summed over streams and receive antennas (fading only).
@@ -180,7 +259,7 @@ class ChannelTable:
         """
         x = self.array_node
         if tx == x:
-            amps = self.array_vec[rx].conj() @ w
+            amps = self._row(rx).conj() @ w
             return float(np.sum(np.abs(amps) ** 2))
-        factor = float(np.sum(np.abs(self.array_vec[tx]) ** 2)) if rx == x else abs(self.h[rx, tx]) ** 2
+        factor = float(np.sum(np.abs(self._row(tx)) ** 2)) if rx == x else abs(self.scalar_h(rx, tx)) ** 2
         return factor if w is None else factor * float(np.sum(np.abs(w) ** 2))

@@ -31,10 +31,16 @@ _TYPES = {
     str: (str, "a string"),
 }
 # Value bounds as (predicate, reason), checked once a field's type is right.
-_FRACTION = (lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]")
 _NON_NEGATIVE = (lambda v: v >= 0, "must be >= 0")
 _AT_LEAST_ONE = (lambda v: v >= 1, "must be >= 1")
 _POSITIVE = (lambda v: v > 0, "must be > 0")
+
+
+def _between(low, high):
+    return (lambda v: low <= v <= high, f"must lie in [{low}, {high}]")
+
+
+_FRACTION = _between(0, 1)
 
 
 def _one_of(choices):
@@ -62,12 +68,13 @@ class ScenarioConfig:
     # Run control
     scenario: str = _bounded("C", _one_of(SCENARIOS))
     p_tr: float = _bounded(1.0, _FRACTION)
-    n_drops: int = _bounded(500, _NON_NEGATIVE)
-    n_rounds: int = _bounded(50, _NON_NEGATIVE)
+    # Counts that size the run's arrays and lists are capped far above any study.
+    n_drops: int = _bounded(500, _between(0, 100_000))
+    n_rounds: int = _bounded(50, _between(0, 100_000))
     seed: int = _bounded(1, _NON_NEGATIVE)
 
     # Deployment
-    n_stas: int = _bounded(30, _AT_LEAST_ONE)
+    n_stas: int = _bounded(30, _between(1, 1000))
     floor_width_m: float = _bounded(120.0, _POSITIVE)
     floor_depth_m: float = _bounded(50.0, _POSITIVE)
     ap_height_m: float = _bounded(3.0, _POSITIVE)
@@ -78,7 +85,7 @@ class ScenarioConfig:
     redraw_uncovered: bool = False
 
     # Array dimensioning (central AP in scenarios B/C)
-    mmimo_antennas: int = _bounded(36, _AT_LEAST_ONE)
+    mmimo_antennas: int = _bounded(36, _between(2, 256))
     max_streams: int = _bounded(4, _AT_LEAST_ONE)
     n_nulls: int = _bounded(24, _NON_NEGATIVE)
 
@@ -102,7 +109,7 @@ class ScenarioConfig:
     gamma_preamble_dbm: float = -82.0
     preamble_min_sinr_db: float = -0.8
     preamble_window_slots: int = _bounded(6, _NON_NEGATIVE)
-    cw_slots: int = _bounded(16, _AT_LEAST_ONE)
+    cw_slots: int = _bounded(16, _between(1, 1024))
     ap_busy_rx_withdraws: bool = True
 
     # Traffic and the LBT/eLBT service pattern

@@ -8,7 +8,7 @@ import numpy as np
 from . import beamforming, mac, phy
 from .blas import single_blas_thread
 from .channel import ChannelTable, received_covariance
-from .errors import SingularChannelError
+from .errors import ConfigError, SingularChannelError
 from .geometry import ROLE_AP, associate, generate_drop, validate_coverage
 from .results import DropResult, ResultSet
 from .units import db_to_linear, dbm_to_mw
@@ -127,8 +127,8 @@ class RoundMedium:
         table = self.drop.table
         m = self._node(x_id).num_antennas
         sources = [
-            self.powers[t] * table.slow_gain[x_id, t] * beamforming.residual_power(sub, table.array_vec[t]) / m
-            for t in self.active
+            self.powers[t] * table.slow_gain[x_id, t] * beamforming.residual_power(sub, v) / m
+            for t, v in zip(self.active, table.array_rows(self.active))
         ]
         return self._cca_statistics(sources, self._noise(x_id) * sub.complement.shape[1] / m, cca_slot)
 
@@ -136,9 +136,11 @@ class RoundMedium:
         """Total per-antenna received power plus the (power, SINR) list of the
         sources whose preamble is still catchable at this CCA instant."""
         total = sum(sources) + noise
+        # Each SINR sums the rest directly: total - p rounds to 0 when one
+        # source is so strong that the noise beside it is lost.
         per_source = [
-            (p, p / (total - p))
-            for p, t in zip(sources, self.active)
+            (p, p / (noise + sum(sources[:i]) + sum(sources[i + 1 :])))
+            for i, (p, t) in enumerate(zip(sources, self.active))
             if self._preamble_visible(t, cca_slot)
         ]
         return total, per_source
@@ -162,7 +164,8 @@ class RoundMedium:
         table = self.drop.table
         x_node = self._node(x_id)
         ids, powers = self._covariance_scope(x_id)
-        links = {(x_id, t): (table.slow_gain[x_id, t], table.link_h(x_id, t)) for t in ids}
+        # link_h(x, t) of the array receiving is v_t^H as a (1, M) matrix
+        links = {(x_id, t): (table.slow_gain[x_id, t], v[None, :].conj()) for t, v in zip(ids, table.array_rows(ids))}
         z = received_covariance(
             x_node,
             [self._node(t) for t in ids],
@@ -214,10 +217,11 @@ class RoundMedium:
         table = self.drop.table
         if ap.num_antennas == 1:
             user = users[0]
-            return beamforming.matched_filter(np.array([table.h[user, ap.id]]), user=user)
+            return beamforming.matched_filter(np.array([table.scalar_h(user, ap.id)]), user=user)
         users = list(users)
         while users:
-            h_users = np.column_stack([table.array_vec[u] for u in users])
+            # one C-ordered column per user: BLAS results can depend on the layout
+            h_users = np.ascontiguousarray(table.array_rows(users).T)
             try:
                 if u_null is not None and u_null.shape[1] > 0:
                     return beamforming.zf_with_nulls(h_users, u_null, user_map=users)
@@ -257,7 +261,9 @@ def init_drop(config, seed):
         if not config.redraw_uncovered or validate_coverage(assoc, gains_db, powers_dbm, config.min_rss_dbm):
             break
     else:
-        raise RuntimeError("could not draw a deployment meeting the coverage floor")
+        raise ConfigError(
+            f"min_rss_dbm: no deployment in {1 + _MAX_REDRAWS} draws covers every STA at {config.min_rss_dbm} dBm"
+        )
 
     noise_sta = phy.noise_power(config.bandwidth_hz, config.sta_noise_figure_db, config.noise_psd_dbm_hz)
     noise_ap = phy.noise_power(config.bandwidth_hz, config.ap_noise_figure_db, config.noise_psd_dbm_hz)

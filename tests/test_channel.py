@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -11,11 +12,22 @@ from mmimo_coex.channel import (
     shadowing_db,
 )
 from mmimo_coex.config import ScenarioConfig
-from mmimo_coex.geometry import NodeDescriptor, ROLE_AP, ROLE_STA
+from mmimo_coex.geometry import NodeDescriptor, ROLE_AP, ROLE_STA, generate_drop
+from mmimo_coex.units import db_to_linear
 
 
 def node(nid, pos, antennas=1, role=ROLE_STA, p=18.0):
     return NodeDescriptor(nid, role, pos, antennas, p)
+
+
+def _scalar_matrix(table):
+    """Every scalar fading coefficient of the current snapshot, zero diagonal."""
+    h = np.zeros((table.n, table.n), dtype=complex)
+    for a in range(table.n):
+        for b in range(table.n):
+            if a != b:
+                h[a, b] = table.scalar_h(a, b)
+    return h
 
 
 # ---- LOS probability ---------------------------------------------------------
@@ -85,7 +97,7 @@ def _array_power(nodes, seed, snapshots, **overrides):
     powers = []
     for _ in range(snapshots):
         table.resample(rng)
-        powers.append(np.abs(table.array_vec[1:]) ** 2)
+        powers.append(np.abs(table.array_rows(range(1, table.n))) ** 2)
     return table, np.concatenate(powers).ravel()
 
 
@@ -96,8 +108,8 @@ def test_ricean_pure_los_unit_modulus():
     table.resample(rng)
     los = table.los & ~np.eye(len(nodes), dtype=bool)
     assert 0 < np.sum(los[0]) < len(nodes) - 1  # the array has LOS and NLOS links
-    assert np.allclose(np.abs(table.h[los]), 1.0, atol=1e-12)
-    assert np.allclose(np.abs(table.array_vec[los[0]]), 1.0, atol=1e-12)
+    assert np.allclose(np.abs(_scalar_matrix(table)[los]), 1.0, atol=1e-12)
+    assert np.allclose(np.abs(table.array_rows(np.flatnonzero(los[0]))), 1.0, atol=1e-12)
 
 
 def test_rayleigh_unit_power():
@@ -174,7 +186,7 @@ def test_channel_table_matches_link_conventions():
     assert np.array_equal(table.slow_gain, table.slow_gain.T)
     assert np.all(np.diag(table.slow_gain) == 0.0)
     # scalar link reciprocity
-    assert table.h[3, 4] == np.conj(table.h[4, 3])
+    assert table.scalar_h(3, 4) == np.conj(table.scalar_h(4, 3))
     # link_h shapes follow (M_tx, M_rx)
     assert table.link_h(3, 1).shape == (36, 1)
     assert table.link_h(1, 3).shape == (1, 36)
@@ -182,7 +194,7 @@ def test_channel_table_matches_link_conventions():
     # emission factor with a precoder column matches the explicit product
     w = np.zeros((36, 2), dtype=complex)
     w[0, 0] = w[1, 1] = 1.0 / math.sqrt(2)
-    explicit = float(np.sum(np.abs(table.array_vec[3].conj() @ w) ** 2))
+    explicit = float(np.sum(np.abs(table.array_rows([3])[0].conj() @ w) ** 2))
     assert table.emission_factor(3, 1, w) == pytest.approx(explicit, rel=1e-12)
 
 
@@ -194,7 +206,7 @@ def test_channel_table_fading_unit_power():
     for _ in range(50):
         table.resample(rng)
         iu = np.triu_indices(len(nodes), 1)
-        samples.append(np.abs(table.h[iu]) ** 2)
+        samples.append(np.abs(_scalar_matrix(table)[iu]) ** 2)
     assert np.mean(np.concatenate(samples)) == pytest.approx(1.0, abs=0.02)
 
 
@@ -233,3 +245,77 @@ def test_channel_table_rejects_two_arrays():
     nodes[2] = node(2, nodes[2].position, antennas=4, role=ROLE_AP, p=24.0)
     with pytest.raises(ValueError, match="multi-antenna"):
         ChannelTable(nodes, ScenarioConfig(), np.random.default_rng(0))
+
+
+def _eager_resample(table, rng):
+    """Reference: the snapshot transform of every pair and array row at once,
+    making the same draws in the same order as `ChannelTable.resample`.
+    Returns the Hermitian scalar matrix and the (n, M) array-link vectors."""
+    n = table.n
+    iu = np.triu_indices(n, 1)
+    n_pairs = len(iu[0])
+    los_pairs = table.los[iu]
+
+    k_db = rng.normal(*table.k_factor_db, n_pairs)
+    k_lin = np.where(los_pairs, db_to_linear(k_db), 0.0)
+    ray = (rng.standard_normal(n_pairs) + 1j * rng.standard_normal(n_pairs)) / math.sqrt(2.0)
+    phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n_pairs))
+    h_pairs = np.sqrt(k_lin / (k_lin + 1.0)) * phase + np.sqrt(1.0 / (k_lin + 1.0)) * ray
+    h = np.zeros((n, n), dtype=complex)
+    h[iu] = h_pairs
+    h = h + h.conj().T
+    if table.array_node is None:
+        return h, None
+
+    x, m = table.array_node, table.array_size
+    k_db_x = rng.normal(*table.k_factor_db, n)
+    k_x = np.where(table.los[x], db_to_linear(k_db_x), 0.0)
+    az = rng.uniform(0.0, 2.0 * np.pi, n)
+    cos_el = rng.uniform(-1.0, 1.0, n)
+    psi = rng.uniform(0.0, 2.0 * np.pi, n)
+    sin_el = np.sqrt(1.0 - cos_el**2)
+    kx = np.pi * sin_el * np.cos(az)
+    ky = np.pi * sin_el * np.sin(az)
+    side = math.isqrt(m)
+    if side * side == m:
+        rows, cols = np.divmod(np.arange(m), side)
+    else:
+        rows, cols = np.arange(m), np.zeros(m)
+    steer = np.exp(1j * (np.outer(kx, rows) + np.outer(ky, cols) + psi[:, None]))
+    ray_x = (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))) / math.sqrt(2.0)
+    mix_los = np.sqrt(k_x / (k_x + 1.0))[:, None]
+    mix_ray = np.sqrt(1.0 / (k_x + 1.0))[:, None]
+    array_vec = mix_los * steer + mix_ray * ray_x
+    array_vec[x] = 0.0
+    return h, array_vec
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("scenario", ["A", "C"])
+def test_lazy_fading_matches_eager_reference(scenario, seed):
+    cfg = ScenarioConfig(scenario=scenario)
+    rng = np.random.default_rng(seed)
+    _, nodes = generate_drop(cfg, rng)
+    table = ChannelTable(nodes, cfg, rng)
+    n, x = table.n, table.array_node
+    scalar = [(a, b) for a in range(n) for b in range(n) if a != b and x not in (a, b)]
+    for _ in range(3):  # later snapshots must not see an earlier one's cache
+        ref_rng = copy.deepcopy(rng)
+        h_ref, vec_ref = _eager_resample(table, ref_rng)
+        table.resample(rng)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        twin = copy.deepcopy(table)
+
+        # rows first, one at a time, then pairs one at a time
+        rows_first = [table.link_h(j, x)[:, 0] for j in range(n)] if x is not None else []
+        pairs_late = [table.scalar_h(a, b) for a, b in scalar]
+        # pairs first, in reverse order, then every row in one shuffled batch
+        pairs_first = [twin.scalar_h(a, b) for a, b in reversed(scalar)][::-1]
+        order = np.random.default_rng(seed).permutation(n)
+        rows_late = twin.array_rows(order)[np.argsort(order)] if x is not None else []
+
+        assert np.array_equal(pairs_late, [h_ref[a, b] for a, b in scalar])
+        assert np.array_equal(pairs_first, pairs_late)
+        if x is not None:
+            assert np.array_equal(np.array(rows_first), vec_ref)
+            assert np.array_equal(rows_late, vec_ref)

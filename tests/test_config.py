@@ -1,12 +1,15 @@
 import dataclasses
 import json
 import math
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmimo_coex.config import ScenarioConfig, load_config
+from mmimo_coex.engine import run_simulation
 from mmimo_coex.errors import ConfigError
 
 
@@ -46,6 +49,11 @@ def test_validate_names_offending_fields():
         {"redraw_uncovered": 1},
         {"out_dir": 3},
         {"rate_table": [[2.0, math.inf]]},
+        {"cw_slots": 10**30},
+        {"n_stas": 10**9},
+        {"mmimo_antennas": 10**6},
+        {"n_drops": 10**9},
+        {"n_rounds": 10**9},
     ],
     ids=[
         "string-for-float",
@@ -57,6 +65,11 @@ def test_validate_names_offending_fields():
         "int-for-bool",
         "int-for-string",
         "infinite-rate",
+        "huge-contention-window",
+        "huge-sta-count",
+        "huge-array",
+        "huge-drop-count",
+        "huge-round-count",
     ],
 )
 def test_mistyped_or_non_finite_value_rejected(data):
@@ -75,11 +88,33 @@ _JSON_VALUES = st.one_of(
     st.sampled_from([math.nan, math.inf, -math.inf]),
     st.lists(st.one_of(_SMALL_NUMBERS, st.lists(_SMALL_NUMBERS, max_size=3)), max_size=3),
 )
+# Values of a field's declared type, so that many objects pass validation
+# and go on to a run: small ones, so the run stays short, and extremes that
+# overflow or divide by zero unless bounded or guarded.
+_TYPED_VALUES = {
+    float: st.one_of(_SMALL_NUMBERS, st.sampled_from([400.0, -1000.0])),
+    int: st.one_of(st.integers(-3, 3), st.just(10**30)),
+    bool: st.booleans(),
+    str: st.text(max_size=4),
+}
+_CHOICES = {"scenario": ["A", "B", "C"], "covariance_scope": ["active", "persistent"], "out_format": ["csv", "json"]}
+
+
+def _entry(name):
+    """(name, value), the value of the field's type three times in four."""
+    typed = _TYPED_VALUES.get(_FIELD_TYPES.get(name), _JSON_VALUES)
+    if name in _CHOICES:
+        typed = st.sampled_from(_CHOICES[name] + ["x"])
+    return st.tuples(st.just(name), st.sampled_from([typed, typed, typed, _JSON_VALUES]).flatmap(lambda values: values))
 
 
 @settings(max_examples=1000, deadline=None, derandomize=True)
-@given(st.dictionaries(st.sampled_from(sorted(_FIELD_TYPES) + ["not_a_field"]), _JSON_VALUES, max_size=6))
-def test_any_flat_object_is_rejected_or_well_typed(data):
+@given(
+    st.sampled_from(["A", "B", "C"]),
+    st.lists(st.sampled_from(sorted(_FIELD_TYPES) + ["not_a_field"]).flatmap(_entry), max_size=6).map(dict),
+)
+def test_any_flat_object_is_rejected_or_well_typed(scenario, data):
+    data.setdefault("scenario", scenario)  # run every deployment, not only the default
     try:
         cfg = ScenarioConfig.from_dict(data).validate()
     except ConfigError:
@@ -91,6 +126,12 @@ def test_any_flat_object_is_rejected_or_well_typed(data):
             assert isinstance(value, int if declared is int else (int, float)), name
         elif declared in (bool, str):
             assert isinstance(value, declared), name
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (drop,) = run_simulation(cfg.replace(n_drops=1, n_rounds=1)).drops
+    assert np.all(np.isfinite(drop.sinr_db))
+    assert all(math.isfinite(v) and v >= 0 for v in drop.user_throughput_bps.values())
+    assert math.isfinite(drop.sum_throughput_bps)
 
 
 def test_nulls_plus_streams_bounded_by_antennas():
@@ -99,6 +140,13 @@ def test_nulls_plus_streams_bounded_by_antennas():
         cfg.validate()
     # same dimensioning is fine when the nulling AP is not deployed
     ScenarioConfig(scenario="B", n_nulls=33, max_streams=4).validate()
+
+
+def test_single_antenna_array_rejected():
+    # eLBT filters an array's covariance; one antenna leaves no array to filter
+    cfg = ScenarioConfig(scenario="C", mmimo_antennas=1, n_nulls=0, max_streams=1)
+    with pytest.raises(ConfigError, match=r"mmimo_antennas \(got 1"):
+        cfg.validate()
 
 
 def test_unknown_keys_rejected():

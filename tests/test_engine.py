@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from mmimo_coex import engine, mac
 from mmimo_coex.blas import openblas_thread_api
 from mmimo_coex.channel import received_covariance
 from mmimo_coex.config import ScenarioConfig
+from mmimo_coex.errors import ConfigError
 from mmimo_coex.engine import (
     CENTRAL_AP,
     RoundMedium,
@@ -211,6 +214,28 @@ def test_redraw_uncovered_flag():
     cfg = small_cfg(redraw_uncovered=True, n_drops=1, n_rounds=1)
     results = run_simulation(cfg)  # default floor is easily covered
     assert len(results.drops) == 1
+
+
+def test_unreachable_coverage_floor_is_a_config_error(monkeypatch):
+    monkeypatch.setattr(engine, "_MAX_REDRAWS", 3)
+    cfg = small_cfg(redraw_uncovered=True, min_rss_dbm=3.0, n_drops=1, n_rounds=1)
+    with pytest.raises(ConfigError, match="min_rss_dbm: no deployment in 4 draws"):
+        run_simulation(cfg)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{"ap_max_power_dbm": 400.0}, {"sta_max_power_dbm": 400.0}, {"noise_psd_dbm_hz": -1000.0}],
+    ids=["ap-power", "sta-power", "noise-psd"],
+)
+def test_cca_statistics_stay_finite_when_noise_is_lost_to_rounding(overrides):
+    # One source so far above the noise that total - p rounds to zero.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        results = run_simulation(ScenarioConfig(scenario="C", p_tr=1.0, n_drops=1, n_rounds=5, seed=2, **overrides))
+    (drop,) = results.drops
+    assert drop.sinr_db.size > 0 and np.all(np.isfinite(drop.sinr_db))
+    assert np.isfinite(drop.sum_throughput_bps)
 
 
 def test_scenario_c_partition_members_follow_phase():
