@@ -9,6 +9,7 @@ import numpy as np
 from .errors import CapabilityError, SingularChannelError
 
 _COND_LIMIT = 1e12
+_ORTHONORMAL_TOL = 1e-8
 
 
 @dataclass
@@ -49,43 +50,58 @@ def zf_precoder(h_bar, user_map=()):
     """Zero-forcing precoder for the aggregate channel (M, K).
 
     W = H (H^H H)^{-1} / sqrt(zeta) with zeta making ||W||_F = 1, so each
-    scheduled user receives no power from the other users' streams.
+    scheduled user receives no power from the other users' streams. This is
+    `zf_with_nulls` without null directions.
     """
     h_bar = np.asarray(h_bar, dtype=complex)
-    m, k = h_bar.shape
-    if k > m:
-        raise CapabilityError(f"{k} streams exceed {m} antennas")
-    gram = h_bar.conj().T @ h_bar
-    if not np.all(np.isfinite(gram)) or np.linalg.cond(gram) > _COND_LIMIT:
-        raise SingularChannelError("aggregate channel matrix is rank deficient")
-    w_raw = np.linalg.solve(gram, h_bar.conj().T).conj().T
-    zeta = float(np.linalg.norm(w_raw) ** 2)
-    return PrecoderSet(W=w_raw / np.sqrt(zeta), user_map=tuple(user_map))
+    return zf_with_nulls(h_bar, np.empty((h_bar.shape[0], 0), dtype=complex), user_map)
 
 
 def zf_with_nulls(h_users, u_null, user_map=()):
-    """Zero forcing over [user channels | nulled directions], keeping the user columns.
+    """Zero forcing for the user channels H (M, K) with radiation nulls towards
+    the columns of U (M, N).
 
-    The stacked matrix is inverted as in plain ZF; only the first K columns are
-    transmitted and they are renormalized to unit Frobenius norm, so the nulled
-    directions receive (numerically) zero power without spending any of it.
+    The user channels are projected off span(U), A = H - U (U^H H), and
+    W = A (A^H A)^{-1} is normalized to unit Frobenius norm. Then U^H W = 0 and
+    H^H W = A^H W is diagonal: the nulled directions receive no power and the
+    users no cross-stream leakage. W equals the first K columns of the
+    pseudo-inverse of [H | U], renormalized, without forming that (K+N)-wide
+    system.
+
+    U must have orthonormal columns (eigenvectors or a QR basis); a U with
+    max |U^H U - I| > 1e-8 raises ValueError. Rank test: a Cholesky factor L
+    of the K x K Gram A^H A. Its pivots diag(L)^2, with the N unit pivots of
+    U^H U = I, are the pivots of the stacked Gram [U | H]^H [U | H]. A failed
+    factorization, a non-finite Gram or a pivot ratio max / min above the
+    condition limit raises SingularChannelError; the pivot ratio is a lower
+    bound on the condition number of that stacked Gram.
     """
     h_users = np.asarray(h_users, dtype=complex)
     u_null = np.asarray(u_null, dtype=complex).reshape(h_users.shape[0], -1)
     m, k = h_users.shape
     n = u_null.shape[1]
-    if n == 0:
-        return zf_precoder(h_users, user_map)
     if k + n > m:
         raise CapabilityError(f"{k} streams + {n} nulls exceed {m} antennas")
-    stacked = np.concatenate([h_users, u_null], axis=1)
-    gram = stacked.conj().T @ stacked
-    if not np.all(np.isfinite(gram)) or np.linalg.cond(gram) > _COND_LIMIT:
-        raise SingularChannelError("stacked user/null matrix is rank deficient")
-    w_full = np.linalg.solve(gram, stacked.conj().T).conj().T
-    w_users = w_full[:, :k]
-    zeta = float(np.linalg.norm(w_users) ** 2)
-    return PrecoderSet(W=w_users / np.sqrt(zeta), user_map=tuple(user_map))
+    a = h_users
+    if n:
+        u_h = u_null.conj().T
+        if np.max(np.abs(u_h @ u_null - np.eye(n))) > _ORTHONORMAL_TOL:
+            raise ValueError("null directions must have orthonormal columns")
+        a = h_users - u_null @ (u_h @ h_users)
+    gram = a.conj().T @ a
+    if not np.all(np.isfinite(gram)):
+        raise SingularChannelError("projected user channels are not finite")
+    try:
+        pivots = np.diag(np.linalg.cholesky(gram)).real ** 2
+    except np.linalg.LinAlgError as exc:
+        raise SingularChannelError("projected user channels are rank deficient") from exc
+    if n:
+        pivots = np.append(pivots, 1.0)
+    if pivots.max() > _COND_LIMIT * pivots.min():
+        raise SingularChannelError("projected user channels are rank deficient")
+    w_raw = np.linalg.solve(gram, a.conj().T).conj().T
+    zeta = float(np.linalg.norm(w_raw) ** 2)
+    return PrecoderSet(W=w_raw / np.sqrt(zeta), user_map=tuple(user_map))
 
 
 def dominant_subspace(z, n_dominant):

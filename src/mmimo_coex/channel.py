@@ -62,17 +62,22 @@ def received_covariance(x, active, links, powers, noise_power=0.0):
 
     Z = sum_j P_j g_xj H_xj^H H_xj + noise_power * I, which is Hermitian PSD
     by construction. `links` maps (x.id, j.id) to a (slow_gain_linear, H) pair.
+    The sum is one product: with the rows of every H_xj stacked into V and
+    each row's P_j g_xj in c, Z = V^H diag(c) V + noise_power * I.
     """
     m = x.num_antennas
-    z = noise_power * np.eye(m, dtype=complex)
+    weights, rows = [], [np.empty((0, m), dtype=complex)]
     for j in active:
         if j.id == x.id:
             continue
         g, h = links[(x.id, j.id)]
         if h.shape[1] != m:
             raise ValueError(f"channel to node {j.id} does not match {m} receive antennas")
-        a = h.conj().T
-        z += (powers[j.id] * g) * (a @ a.conj().T)
+        weights += [powers[j.id] * g] * h.shape[0]
+        rows.append(h)
+    v = np.concatenate(rows)
+    z = v.conj().T @ (np.array(weights)[:, None] * v)
+    z.flat[:: m + 1] += noise_power
     return (z + z.conj().T) / 2.0
 
 
@@ -260,6 +265,10 @@ class ChannelTable:
         x = self.array_node
         if tx == x:
             amps = self._row(rx).conj() @ w
-            return float(np.sum(np.abs(amps) ** 2))
-        factor = float(np.sum(np.abs(self._row(tx)) ** 2)) if rx == x else abs(self.scalar_h(rx, tx)) ** 2
-        return factor if w is None else factor * float(np.sum(np.abs(w) ** 2))
+            return np.vdot(amps, amps).real
+        if rx == x:
+            row = self._row(tx)
+            factor = np.vdot(row, row).real
+        else:
+            factor = abs(self.scalar_h(rx, tx)) ** 2
+        return factor if w is None else factor * np.vdot(w, w).real

@@ -41,6 +41,10 @@ def _between(low, high):
 
 
 _FRACTION = _between(0, 1)
+# Power levels, thresholds and their ratios in dB: 1e-40 to 1e40 in linear
+# terms, so that every product of a power, a slow gain and a fading factor
+# stays finite and above zero.
+_DB_LEVEL = _between(-400, 400)
 
 
 def _one_of(choices):
@@ -79,9 +83,9 @@ class ScenarioConfig:
     floor_depth_m: float = _bounded(50.0, _POSITIVE)
     ap_height_m: float = _bounded(3.0, _POSITIVE)
     sta_height_m: float = _bounded(1.5, _POSITIVE)
-    ap_max_power_dbm: float = 24.0
-    sta_max_power_dbm: float = 18.0
-    min_rss_dbm: float = -82.0
+    ap_max_power_dbm: float = _bounded(24.0, _DB_LEVEL)
+    sta_max_power_dbm: float = _bounded(18.0, _DB_LEVEL)
+    min_rss_dbm: float = _bounded(-82.0, _DB_LEVEL)
     redraw_uncovered: bool = False
 
     # Array dimensioning (central AP in scenarios B/C)
@@ -90,24 +94,27 @@ class ScenarioConfig:
     n_nulls: int = _bounded(24, _NON_NEGATIVE)
 
     # RF and channel model
-    carrier_ghz: float = _bounded(5.18, _POSITIVE)
-    bandwidth_hz: float = _bounded(20e6, _POSITIVE)
-    noise_psd_dbm_hz: float = -174.0
-    sta_noise_figure_db: float = 9.0
-    ap_noise_figure_db: float = 9.0
-    pl_los_intercept: float = 32.8
-    pl_los_slope: float = 16.9
-    pl_nlos_intercept: float = 11.5
-    pl_nlos_slope: float = 43.3
-    shadowing_sigma_los_db: float = _bounded(3.0, _NON_NEGATIVE)
-    shadowing_sigma_nlos_db: float = _bounded(4.0, _NON_NEGATIVE)
-    k_factor_mean_db: float = 9.0
-    k_factor_std_db: float = _bounded(5.0, _NON_NEGATIVE)
+    # Every dB term, and every quantity that enters a dB sum through its
+    # logarithm, is bounded: noise, slow gains and K-factors then stay far
+    # inside the range of a double, above zero and below overflow.
+    carrier_ghz: float = _bounded(5.18, _between(0.1, 100))
+    bandwidth_hz: float = _bounded(20e6, _between(1e3, 1e10))
+    noise_psd_dbm_hz: float = _bounded(-174.0, _between(-1000, 0))
+    sta_noise_figure_db: float = _bounded(9.0, _between(-1000, 100))
+    ap_noise_figure_db: float = _bounded(9.0, _between(-1000, 100))
+    pl_los_intercept: float = _bounded(32.8, _between(0, 200))
+    pl_los_slope: float = _bounded(16.9, _between(0, 100))
+    pl_nlos_intercept: float = _bounded(11.5, _between(0, 200))
+    pl_nlos_slope: float = _bounded(43.3, _between(0, 100))
+    shadowing_sigma_los_db: float = _bounded(3.0, _between(0, 50))
+    shadowing_sigma_nlos_db: float = _bounded(4.0, _between(0, 50))
+    k_factor_mean_db: float = _bounded(9.0, _between(-300, 300))
+    k_factor_std_db: float = _bounded(5.0, _between(0, 50))
 
     # Channel access
-    gamma_lbt_dbm: float = -62.0
-    gamma_preamble_dbm: float = -82.0
-    preamble_min_sinr_db: float = -0.8
+    gamma_lbt_dbm: float = _bounded(-62.0, _DB_LEVEL)
+    gamma_preamble_dbm: float = _bounded(-82.0, _DB_LEVEL)
+    preamble_min_sinr_db: float = _bounded(-0.8, _DB_LEVEL)
     preamble_window_slots: int = _bounded(6, _NON_NEGATIVE)
     cw_slots: int = _bounded(16, _between(1, 1024))
     ap_busy_rx_withdraws: bool = True

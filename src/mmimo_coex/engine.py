@@ -14,7 +14,7 @@ from .results import DropResult, ResultSet
 from .units import db_to_linear, dbm_to_mw
 
 CENTRAL_AP = 1
-_MAX_REDRAWS = 10_000
+_MAX_REDRAWS = 1_000
 
 
 @dataclass

@@ -81,7 +81,8 @@ def compute_sinr(user_id, serving_id, active_ids, links, powers, precoders, nois
     amps = (h_serv.conj().T @ w_serv.W)[0]
     p_serv = powers[serving_id] * g_serv
     signal = p_serv * abs(amps[stream]) ** 2
-    intra = p_serv * float(np.sum(np.abs(np.delete(amps, stream)) ** 2))
+    amps[stream] = 0.0  # what remains is the leakage of the other streams
+    intra = p_serv * np.vdot(amps, amps).real
 
     inter = 0.0
     for tx_id in active_ids:
@@ -89,7 +90,7 @@ def compute_sinr(user_id, serving_id, active_ids, links, powers, precoders, nois
             continue
         g, h = links[(user_id, tx_id)]
         a = h.conj().T @ precoders[tx_id].W
-        inter += powers[tx_id] * g * float(np.sum(np.abs(a) ** 2))
+        inter += powers[tx_id] * g * np.vdot(a, a).real
     return signal / (inter + intra + noise_mw)
 
 

@@ -123,6 +123,58 @@ def test_nulls_capability_error():
         zf_with_nulls(crandn(rng, 8, 4), crandn(rng, 8, 5))
 
 
+def _stacked_zf_reference(h, u_null):
+    """Zero forcing with nulls by the stacked formula: invert [H | U] through
+    its (K+N) x (K+N) Gram, keep the K user columns and renormalize."""
+    stacked = np.concatenate([h, u_null], axis=1)
+    w_full = np.linalg.solve(stacked.conj().T @ stacked, stacked.conj().T).conj().T
+    w_users = w_full[:, : h.shape[1]]
+    return w_users / np.linalg.norm(w_users)
+
+
+def test_nulls_match_stacked_pseudo_inverse():
+    rng = np.random.default_rng(2024)
+    for _ in range(300):
+        k = int(rng.integers(1, 5))
+        n = int(rng.integers(0, 25))
+        m = int(rng.integers(max(k + n + 2, 8), 37))
+        h = crandn(rng, m, k)
+        q, _ = np.linalg.qr(crandn(rng, m, n))
+        expected = _stacked_zf_reference(h, q)
+        got = zf_with_nulls(h, q).W
+        assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
+def test_nulls_reject_duplicated_user():
+    rng = np.random.default_rng(16)
+    h = crandn(rng, 36, 3)
+    h[:, 2] = h[:, 0]
+    q, _ = np.linalg.qr(crandn(rng, 36, 24))
+    with pytest.raises(SingularChannelError):
+        zf_with_nulls(h, q)
+
+
+def test_nulls_reject_user_inside_null_span():
+    rng = np.random.default_rng(17)
+    q, _ = np.linalg.qr(crandn(rng, 36, 24))
+    h = crandn(rng, 36, 3)
+    h[:, 1] = q @ crandn(rng, 24)
+    with pytest.raises(SingularChannelError):
+        zf_with_nulls(h, q)
+    with pytest.raises(SingularChannelError):
+        zf_with_nulls(h[:, 1:2], q)  # a single user with nothing left after projection
+
+
+def test_nulls_reject_non_orthonormal_directions():
+    rng = np.random.default_rng(18)
+    q, _ = np.linalg.qr(crandn(rng, 36, 24))
+    h = crandn(rng, 36, 4)
+    for u_null in (q * np.r_[1.0 + 1e-6, np.ones(23)], 2.0 * q, crandn(rng, 36, 24)):
+        with pytest.raises(ValueError, match="orthonormal") as err:
+            zf_with_nulls(h, u_null)
+        assert not isinstance(err.value, SingularChannelError)
+
+
 # ---- dominant subspace ---------------------------------------------------------
 
 

@@ -156,6 +156,31 @@ def test_covariance_single_transmitter_rank_one():
     assert np.sum(eigenvalues > 1e-18) == 1
 
 
+def _outer_product_covariance(x, active, links, powers, noise_power):
+    """The received covariance as a loop of one outer product per transmitter."""
+    z = noise_power * np.eye(x.num_antennas, dtype=complex)
+    for j in active:
+        g, h = links[(x.id, j.id)]
+        a = h.conj().T
+        z += (powers[j.id] * g) * (a @ a.conj().T)
+    return z
+
+
+def test_covariance_matches_outer_product_loop():
+    rng = np.random.default_rng(13)
+    for _ in range(100):
+        m = int(rng.integers(2, 37))
+        x, txs, links, powers = _cov_setup(int(rng.integers(0, 23)), m, rng)
+        if txs and rng.random() < 0.5:  # a transmitter with several antennas
+            g, h = links[(0, txs[0].id)]
+            links[(0, txs[0].id)] = (g, np.concatenate([h, 2.0 * h[:, ::-1]]))
+        noise = 10 ** rng.uniform(-12, -8)
+        z = received_covariance(x, txs, links, powers, noise_power=noise)
+        expected = _outer_product_covariance(x, txs, links, powers, noise)
+        assert np.array_equal(z, z.conj().T)
+        assert np.linalg.norm(z - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
 def test_covariance_hermitian_psd():
     rng = np.random.default_rng(12)
     for _ in range(50):

@@ -54,6 +54,13 @@ def test_validate_names_offending_fields():
         {"mmimo_antennas": 10**6},
         {"n_drops": 10**9},
         {"n_rounds": 10**9},
+        {"k_factor_mean_db": 1e4},
+        {"gamma_lbt_dbm": 1e4},
+        {"shadowing_sigma_los_db": 1e4},
+        {"pl_los_slope": -1e4},
+        {"noise_psd_dbm_hz": -1e4},
+        {"carrier_ghz": 1e-300},
+        {"bandwidth_hz": 1e-300},
     ],
     ids=[
         "string-for-float",
@@ -70,6 +77,13 @@ def test_validate_names_offending_fields():
         "huge-array",
         "huge-drop-count",
         "huge-round-count",
+        "huge-k-factor",
+        "huge-lbt-threshold",
+        "huge-shadowing",
+        "negative-path-loss-slope",
+        "vanishing-noise",
+        "vanishing-carrier",
+        "vanishing-bandwidth",
     ],
 )
 def test_mistyped_or_non_finite_value_rejected(data):
@@ -89,11 +103,12 @@ _JSON_VALUES = st.one_of(
     st.lists(st.one_of(_SMALL_NUMBERS, st.lists(_SMALL_NUMBERS, max_size=3)), max_size=3),
 )
 # Values of a field's declared type, so that many objects pass validation
-# and go on to a run: small ones, so the run stays short, and extremes that
-# overflow or divide by zero unless bounded or guarded.
+# and go on to a run: small ones, so the run stays short, and extremes on
+# either side of the declared bounds that overflow or divide by zero unless
+# bounded or guarded.
 _TYPED_VALUES = {
-    float: st.one_of(_SMALL_NUMBERS, st.sampled_from([400.0, -1000.0])),
-    int: st.one_of(st.integers(-3, 3), st.just(10**30)),
+    float: st.one_of(_SMALL_NUMBERS, st.sampled_from([400.0, -1000.0, 1e4, -1e4])),
+    int: st.one_of(st.integers(-3, 3), st.sampled_from([10**4, 10**30])),
     bool: st.booleans(),
     str: st.text(max_size=4),
 }

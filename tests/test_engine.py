@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmimo_coex import engine, mac
 from mmimo_coex.blas import openblas_thread_api
@@ -247,3 +249,66 @@ def test_scenario_c_partition_members_follow_phase():
         users = out.scheduled.get(CENTRAL_AP, ())
         allowed = drop.sched.elbt_set if phase == mac.MODE_ELBT else drop.sched.lbt_set
         assert set(users) <= set(allowed)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    scenario=st.sampled_from(["A", "B", "C"]),
+    p_tr=st.floats(0.0, 1.0),
+    ul_fraction=st.floats(0.0, 1.0),
+    n_stas=st.integers(1, 40),
+    array=st.tuples(st.integers(2, 36), st.integers(1, 8), st.integers(0, 34)),
+    flags=st.tuples(st.booleans(), st.booleans(), st.booleans(), st.booleans()),
+    covariance_scope=st.sampled_from(["active", "persistent"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_round_outcomes_keep_engine_invariants(
+    scenario, p_tr, ul_fraction, n_stas, array, flags, covariance_scope, seed
+):
+    mmimo_antennas, streams, nulls = array
+    max_streams = min(streams, mmimo_antennas)
+    n_nulls = min(nulls, mmimo_antennas - max_streams)
+    partition, own_cell, cap_by_energy, busy_withdraws = flags
+    cfg = ScenarioConfig(
+        scenario=scenario,
+        p_tr=p_tr,
+        ul_fraction=ul_fraction,
+        n_stas=n_stas,
+        mmimo_antennas=mmimo_antennas,
+        max_streams=max_streams,
+        n_nulls=n_nulls,
+        partition_enabled=partition,
+        covariance_includes_own_cell=own_cell,
+        null_cap_by_energy=cap_by_energy,
+        ap_busy_rx_withdraws=busy_withdraws,
+        covariance_scope=covariance_scope,
+        n_drops=2,
+        n_rounds=3,
+        seed=seed,
+    ).validate()
+    media = []
+
+    class RecordingMedium(RoundMedium):
+        def __init__(self, *args):
+            super().__init__(*args)
+            media.append(self)
+
+    with warnings.catch_warnings(), pytest.MonkeyPatch.context() as patch:
+        warnings.simplefilter("error")
+        patch.setattr(engine, "RoundMedium", RecordingMedium)
+        for seq in np.random.SeedSequence(cfg.seed).spawn(cfg.n_drops):
+            drop = init_drop(cfg, seq)
+            for r in range(cfg.n_rounds):
+                out = run_round(drop, r)
+                medium = media[-1]
+                nodes = [a.node_id for a in out.attempts]
+                assert len(nodes) == len(set(nodes))  # one attempt per node and round
+                assert out.active_ids == tuple(a.node_id for a in out.attempts if a.granted)
+                for ap_id, users in out.scheduled.items():
+                    assert set(users) <= set(drop.sched.served[ap_id])
+                    streams = medium.precoders[ap_id].W.shape[1]
+                    assert streams == len(users)
+                    assert streams + medium.null_counts[ap_id] <= drop.nodes[ap_id].num_antennas
+                assert set(out.user_sinr_db) == {u for users in out.scheduled.values() for u in users}
+                assert all(np.isfinite(v) for v in out.user_sinr_db.values())
+            assert np.all(drop.ap_grants <= drop.ap_attempts)
