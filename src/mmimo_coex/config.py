@@ -19,7 +19,6 @@ _SCENARIO_ALIASES = {
     "C": "C",
     "C_MMIMO_U": "C",
 }
-COVARIANCE_SCOPES = ("active", "persistent")
 OUTPUT_FORMATS = ("csv", "json")
 
 # Declared field type -> (accepted values, what the error message asks for).
@@ -33,7 +32,8 @@ _TYPES = {
 # Value bounds as (predicate, reason), checked once a field's type is right.
 _NON_NEGATIVE = (lambda v: v >= 0, "must be >= 0")
 _AT_LEAST_ONE = (lambda v: v >= 1, "must be >= 1")
-_POSITIVE = (lambda v: v > 0, "must be > 0")
+# Lengths in metres: up to 100 km, so squared distances and their path loss stay finite.
+_LENGTH = (lambda v: 0 < v <= 100_000, "must lie in (0, 100000]")
 
 
 def _between(low, high):
@@ -79,14 +79,12 @@ class ScenarioConfig:
 
     # Deployment
     n_stas: int = _bounded(30, _between(1, 1000))
-    floor_width_m: float = _bounded(120.0, _POSITIVE)
-    floor_depth_m: float = _bounded(50.0, _POSITIVE)
-    ap_height_m: float = _bounded(3.0, _POSITIVE)
-    sta_height_m: float = _bounded(1.5, _POSITIVE)
+    floor_width_m: float = _bounded(120.0, _LENGTH)
+    floor_depth_m: float = _bounded(50.0, _LENGTH)
+    ap_height_m: float = _bounded(3.0, _LENGTH)
+    sta_height_m: float = _bounded(1.5, _LENGTH)
     ap_max_power_dbm: float = _bounded(24.0, _DB_LEVEL)
     sta_max_power_dbm: float = _bounded(18.0, _DB_LEVEL)
-    min_rss_dbm: float = _bounded(-82.0, _DB_LEVEL)
-    redraw_uncovered: bool = False
 
     # Array dimensioning (central AP in scenarios B/C)
     mmimo_antennas: int = _bounded(36, _between(2, 256))
@@ -117,7 +115,6 @@ class ScenarioConfig:
     preamble_min_sinr_db: float = _bounded(-0.8, _DB_LEVEL)
     preamble_window_slots: int = _bounded(6, _NON_NEGATIVE)
     cw_slots: int = _bounded(16, _between(1, 1024))
-    ap_busy_rx_withdraws: bool = True
 
     # Traffic and the LBT/eLBT service pattern
     ul_fraction: float = _bounded(0.2, _FRACTION)
@@ -125,11 +122,6 @@ class ScenarioConfig:
     elbt_fraction: float = _bounded(0.4, _FRACTION)
     pattern_period: int = _bounded(5, _AT_LEAST_ONE)
     partition_enabled: bool = True
-
-    # Covariance estimation for the nulling AP
-    covariance_scope: str = _bounded("persistent", _one_of(COVARIANCE_SCOPES))
-    covariance_includes_own_cell: bool = False
-    null_cap_by_energy: bool = False
 
     # Rate adaptation
     rate_table: tuple = DEFAULT_RATE_ROWS

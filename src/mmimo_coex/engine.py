@@ -8,13 +8,12 @@ import numpy as np
 from . import beamforming, mac, phy
 from .blas import single_blas_thread
 from .channel import ChannelTable, received_covariance
-from .errors import ConfigError, SingularChannelError
-from .geometry import ROLE_AP, associate, generate_drop, validate_coverage
+from .errors import SingularChannelError
+from .geometry import ROLE_AP, associate, generate_drop
 from .results import DropResult, ResultSet
 from .units import db_to_linear, dbm_to_mw
 
 CENTRAL_AP = 1
-_MAX_REDRAWS = 1_000
 
 
 @dataclass
@@ -30,8 +29,6 @@ class RoundOutcome:
 class DropState:
     config: object
     nodes: list
-    plan: object
-    assoc: object
     table: ChannelTable
     sched: mac.SchedulerState
     rng: np.random.Generator
@@ -96,7 +93,7 @@ class RoundMedium:
     def busy_receiving(self, node_id):
         """An AP whose own-cell STA already won an UL grant is mid-reception
         and does not perform CCA this round (no access attempt)."""
-        if self._node(node_id).role != ROLE_AP or not self.cfg.ap_busy_rx_withdraws:
+        if self._node(node_id).role != ROLE_AP:
             return False
         own = self.drop.sched.served[node_id]
         return any(t in own for t in self.active)
@@ -145,25 +142,16 @@ class RoundMedium:
         ]
         return total, per_source
 
-    def _covariance_scope(self, x_id):
-        """Transmitters whose directions the covariance estimate may capture."""
-        own_cell = set(self.drop.sched.served[x_id])
-        if self.cfg.covariance_includes_own_cell:
-            own_cell = set()
-        if self.cfg.covariance_scope == "persistent":
-            ids = [nd.id for nd in self.drop.nodes if nd.id != x_id and nd.id not in own_cell]
-            powers = {nd_id: float(dbm_to_mw(self._node(nd_id).max_power_dbm)) for nd_id in ids}
-        else:
-            ids = [t for t in self.active if t not in own_cell]
-            powers = {t: self.powers[t] for t in ids}
-        return ids, powers
-
     def _covariance_subspace(self, x_id):
+        """Dominant directions of the covariance x estimates over its listening
+        window: every node outside x's own cell, each at its maximum power."""
         if self._subspace is not None:
             return self._subspace
         table = self.drop.table
         x_node = self._node(x_id)
-        ids, powers = self._covariance_scope(x_id)
+        own_cell = set(self.drop.sched.served[x_id])
+        ids = [nd.id for nd in self.drop.nodes if nd.id != x_id and nd.id not in own_cell]
+        powers = {nd_id: float(dbm_to_mw(self._node(nd_id).max_power_dbm)) for nd_id in ids}
         # link_h(x, t) of the array receiving is v_t^H as a (1, M) matrix
         links = {(x_id, t): (table.slow_gain[x_id, t], v[None, :].conj()) for t, v in zip(ids, table.array_rows(ids))}
         z = received_covariance(
@@ -173,11 +161,8 @@ class RoundMedium:
             powers,
             noise_power=self._noise(x_id),
         )
-        sub = beamforming.dominant_subspace(z, self.cfg.n_nulls)
-        if self.cfg.null_cap_by_energy:
-            sub.n_dominant = min(sub.n_dominant, int(np.sum(sub.eigenvalues > 3.0 * self._noise(x_id))))
-        self._subspace = sub
-        return sub
+        self._subspace = beamforming.dominant_subspace(z, self.cfg.n_nulls)
+        return self._subspace
 
     # ---- admission ---------------------------------------------------------
 
@@ -251,19 +236,10 @@ def _weakest_column(h_users, u_null):
 def init_drop(config, seed):
     """Build one deployment realization with its slow-fading state."""
     rng = np.random.default_rng(seed)
-    for _ in range(1 + _MAX_REDRAWS):
-        plan, nodes = generate_drop(config, rng)
-        table = ChannelTable(nodes, config, rng)
-        aps, stas = nodes[:3], nodes[3:]
-        gains_db = {(s.id, a.id): table.slow_gain_db[s.id, a.id] for s in stas for a in aps}
-        assoc = associate(stas, aps, gains_db)
-        powers_dbm = {a.id: a.max_power_dbm for a in aps}
-        if not config.redraw_uncovered or validate_coverage(assoc, gains_db, powers_dbm, config.min_rss_dbm):
-            break
-    else:
-        raise ConfigError(
-            f"min_rss_dbm: no deployment in {1 + _MAX_REDRAWS} draws covers every STA at {config.min_rss_dbm} dBm"
-        )
+    _, nodes = generate_drop(config, rng)
+    table = ChannelTable(nodes, config, rng)
+    aps, stas = nodes[:3], nodes[3:]
+    assoc = associate(stas, aps, {(s.id, a.id): table.slow_gain_db[s.id, a.id] for s in stas for a in aps})
 
     noise_sta = phy.noise_power(config.bandwidth_hz, config.sta_noise_figure_db, config.noise_psd_dbm_hz)
     noise_ap = phy.noise_power(config.bandwidth_hz, config.ap_noise_figure_db, config.noise_psd_dbm_hz)
@@ -284,8 +260,6 @@ def init_drop(config, seed):
     return DropState(
         config=config,
         nodes=nodes,
-        plan=plan,
-        assoc=assoc,
         table=table,
         sched=sched,
         rng=rng,

@@ -111,11 +111,3 @@ def associate(stas, aps, slow_gains):
         serving=serving,
         served={ap_id: tuple(sorted(ids)) for ap_id, ids in served.items()},
     )
-
-
-def validate_coverage(association, slow_gains, powers, min_rss_dbm=-82.0):
-    """True iff every STA's serving-AP RSS at max power meets the planning floor."""
-    for sta_id, ap_id in association.serving.items():
-        if powers[ap_id] + slow_gains[(sta_id, ap_id)] < min_rss_dbm:
-            return False
-    return True

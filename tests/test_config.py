@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import math
+import pathlib
+import re
 import warnings
 
 import numpy as np
@@ -46,7 +48,7 @@ def test_validate_names_offending_fields():
         {"preamble_window_slots": -3},
         {"rate_table": 5},
         {"p_tr": True},
-        {"redraw_uncovered": 1},
+        {"partition_enabled": 1},
         {"out_dir": 3},
         {"rate_table": [[2.0, math.inf]]},
         {"cw_slots": 10**30},
@@ -61,6 +63,10 @@ def test_validate_names_offending_fields():
         {"noise_psd_dbm_hz": -1e4},
         {"carrier_ghz": 1e-300},
         {"bandwidth_hz": 1e-300},
+        {"floor_width_m": 1e300},
+        {"floor_depth_m": 1e160},
+        {"ap_height_m": 1e300},
+        {"sta_height_m": 1e200},
     ],
     ids=[
         "string-for-float",
@@ -84,6 +90,10 @@ def test_validate_names_offending_fields():
         "vanishing-noise",
         "vanishing-carrier",
         "vanishing-bandwidth",
+        "huge-floor-width",
+        "huge-floor-depth",
+        "huge-ap-height",
+        "huge-sta-height",
     ],
 )
 def test_mistyped_or_non_finite_value_rejected(data):
@@ -107,12 +117,12 @@ _JSON_VALUES = st.one_of(
 # either side of the declared bounds that overflow or divide by zero unless
 # bounded or guarded.
 _TYPED_VALUES = {
-    float: st.one_of(_SMALL_NUMBERS, st.sampled_from([400.0, -1000.0, 1e4, -1e4])),
+    float: st.one_of(_SMALL_NUMBERS, st.sampled_from([400.0, -1000.0, 1e4, -1e4, 1e300])),
     int: st.one_of(st.integers(-3, 3), st.sampled_from([10**4, 10**30])),
     bool: st.booleans(),
     str: st.text(max_size=4),
 }
-_CHOICES = {"scenario": ["A", "B", "C"], "covariance_scope": ["active", "persistent"], "out_format": ["csv", "json"]}
+_CHOICES = {"scenario": ["A", "B", "C"], "out_format": ["csv", "json"]}
 
 
 def _entry(name):
@@ -167,6 +177,31 @@ def test_single_antenna_array_rejected():
 def test_unknown_keys_rejected():
     with pytest.raises(ConfigError, match="not_a_knob"):
         ScenarioConfig.from_dict({"scenario": "A", "not_a_knob": 3})
+
+
+# Model switches that once selected alternative models; each default is now the only model.
+_RETIRED_KEYS = (
+    "covariance_scope",
+    "covariance_includes_own_cell",
+    "null_cap_by_energy",
+    "ap_busy_rx_withdraws",
+    "redraw_uncovered",
+    "min_rss_dbm",
+)
+
+
+@pytest.mark.parametrize("key", _RETIRED_KEYS)
+def test_retired_keys_are_unknown(key):
+    with pytest.raises(ConfigError, match=f"unknown configuration keys: {key}$"):
+        ScenarioConfig.from_dict({key: True})
+
+
+def test_readme_configuration_table_names_every_field():
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Configuration reference", 1)[1].split("\n\n", 2)[1]
+    named = set(re.findall(r"`(\w+)`", section))
+    assert named == set(_FIELD_TYPES)
+    assert not named & set(_RETIRED_KEYS)
 
 
 def test_rate_table_override_validated():

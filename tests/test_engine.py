@@ -9,7 +9,6 @@ from mmimo_coex import engine, mac
 from mmimo_coex.blas import openblas_thread_api
 from mmimo_coex.channel import received_covariance
 from mmimo_coex.config import ScenarioConfig
-from mmimo_coex.errors import ConfigError
 from mmimo_coex.engine import (
     CENTRAL_AP,
     RoundMedium,
@@ -18,6 +17,8 @@ from mmimo_coex.engine import (
     run_round,
     run_simulation,
 )
+from mmimo_coex.geometry import ROLE_STA
+from mmimo_coex.units import dbm_to_mw
 
 
 def small_cfg(**kw):
@@ -147,24 +148,28 @@ def test_elbt_without_nulls_equals_lbt_sensing():
         assert s_r == pytest.approx(s_f, rel=1e-9)
 
 
-def test_null_cap_by_energy_counts_eigenvalues_above_noise():
-    cfg = ScenarioConfig(scenario="C", null_cap_by_energy=True, p_tr=1.0, n_drops=1, n_rounds=1, seed=13)
+def test_covariance_spans_every_out_of_cell_node_at_max_power():
+    cfg = ScenarioConfig(scenario="C", p_tr=1.0, n_drops=1, n_rounds=1, seed=13)
     drop = init_drop(cfg, np.random.SeedSequence(21))
     drop.table.resample(drop.rng)
     traffic = mac.draw_traffic(drop.stas, 1.0, drop.rng)
     medium = RoundMedium(drop, traffic, mac.MODE_ELBT)
     sub = medium._covariance_subspace(CENTRAL_AP)
 
-    # reference: a separate eigvalsh of the same covariance
-    ids, powers = medium._covariance_scope(CENTRAL_AP)
+    # reference: eigvalsh of the covariance of every node outside the central
+    # cell, whether or not it transmits this round, each at its maximum power
+    own_cell = set(drop.sched.served[CENTRAL_AP])
+    ids = [nd.id for nd in drop.nodes if nd.id != CENTRAL_AP and nd.id not in own_cell]
+    assert 0 < len(ids) < len(drop.nodes) - 1
+    powers = {t: float(dbm_to_mw(drop.nodes[t].max_power_dbm)) for t in ids}
     links = {(CENTRAL_AP, t): (drop.table.slow_gain[CENTRAL_AP, t], drop.table.link_h(CENTRAL_AP, t)) for t in ids}
     z = received_covariance(
         drop.nodes[CENTRAL_AP], [drop.nodes[t] for t in ids], links, powers, noise_power=drop.noise_ap_mw
     )
-    above_noise = int(np.sum(np.linalg.eigvalsh(z) > 3.0 * drop.noise_ap_mw))
-    assert above_noise < cfg.n_nulls  # the cap binds
-    assert sub.n_dominant == above_noise
-    assert sub.dominant.shape == (cfg.mmimo_antennas, above_noise)
+    expected = np.linalg.eigvalsh(z)[::-1]
+    np.testing.assert_allclose(sub.eigenvalues, expected, rtol=1e-9, atol=1e-9 * expected[0])
+    assert sub.n_dominant == cfg.n_nulls
+    assert sub.dominant.shape == (cfg.mmimo_antennas, cfg.n_nulls)
 
 
 def test_drops_run_on_one_blas_thread(monkeypatch):
@@ -200,29 +205,66 @@ def test_drops_run_on_one_blas_thread(monkeypatch):
         set_(caller_count)
 
 
-def test_busy_rule_can_be_disabled():
-    kw = dict(scenario="B", p_tr=1.0, n_drops=30, n_rounds=20, seed=17)
-    with_rule = run_simulation(ScenarioConfig(**kw))
-    without = run_simulation(ScenarioConfig(ap_busy_rx_withdraws=False, **kw))
-    att_with = sum(d.ap_attempts[CENTRAL_AP] for d in with_rule.drops)
-    att_without = sum(d.ap_attempts[CENTRAL_AP] for d in without.drops)
-    assert att_without >= att_with
-    acc_with = with_rule.ap_access_success(CENTRAL_AP)
-    acc_without = without.ap_access_success(CENTRAL_AP)
-    assert acc_with >= acc_without
+def test_ap_receiving_from_its_own_sta_does_not_attempt(monkeypatch):
+    # Half duplex: once a STA of an AP's cell is granted (uplink to that AP),
+    # the AP does not attempt access later in the same round.
+    cfg = ScenarioConfig(scenario="B", p_tr=1.0, n_drops=4, n_rounds=20, seed=17)
+    contenders = []
+    real_contend = mac.contend
+
+    def spy(round_contenders, *args):
+        contenders.append([node_id for node_id, _ in round_contenders])
+        return real_contend(round_contenders, *args)
+
+    monkeypatch.setattr(mac, "contend", spy)
+    withdrawn = 0
+    for seq in np.random.SeedSequence(cfg.seed).spawn(cfg.n_drops):
+        drop = init_drop(cfg, seq)
+        for r in range(cfg.n_rounds):
+            out = run_round(drop, r)
+            receiving = set()  # APs with an own-cell STA granted so far, in CCA order
+            for att in out.attempts:
+                assert att.node_id not in receiving
+                if att.granted and drop.nodes[att.node_id].role == ROLE_STA:
+                    receiving |= {ap.id for ap in drop.aps if att.node_id in drop.sched.served[ap.id]}
+            attempted = {att.node_id for att in out.attempts}
+            withdrawn += sum(1 for node_id in contenders[-1] if node_id not in attempted)
+    assert withdrawn > 0  # the rule was exercised
 
 
-def test_redraw_uncovered_flag():
-    cfg = small_cfg(redraw_uncovered=True, n_drops=1, n_rounds=1)
-    results = run_simulation(cfg)  # default floor is easily covered
-    assert len(results.drops) == 1
+@pytest.mark.parametrize("n_nulls", [0, 24])
+def test_duplicate_user_channel_drops_one_of_the_pair(monkeypatch, n_nulls):
+    cfg = ScenarioConfig(scenario="C", n_nulls=n_nulls, p_tr=1.0, n_drops=1, n_rounds=1, seed=13)
+    drop = init_drop(cfg, np.random.SeedSequence(21))
+    drop.table.resample(drop.rng)
+    medium = RoundMedium(drop, mac.draw_traffic(drop.stas, 1.0, drop.rng), mac.MODE_ELBT)
+    u_null = medium._covariance_subspace(CENTRAL_AP).dominant
+    a, b, c = drop.sched.served[CENTRAL_AP][:3]
+    real_rows = drop.table.array_rows
+
+    def duplicated(ids):
+        rows = real_rows(ids).copy()
+        rows[np.asarray(ids) == b] = real_rows([a])[0]
+        return rows
+
+    monkeypatch.setattr(drop.table, "array_rows", duplicated)
+    precoder = medium._build_precoder(drop.nodes[CENTRAL_AP], [a, b, c], u_null)
+    assert precoder.W.shape == (cfg.mmimo_antennas, 2)
+    assert c in precoder.user_map and len({a, b} & set(precoder.user_map)) == 1
 
 
-def test_unreachable_coverage_floor_is_a_config_error(monkeypatch):
-    monkeypatch.setattr(engine, "_MAX_REDRAWS", 3)
-    cfg = small_cfg(redraw_uncovered=True, min_rss_dbm=3.0, n_drops=1, n_rounds=1)
-    with pytest.raises(ConfigError, match="min_rss_dbm: no deployment in 4 draws"):
-        run_simulation(cfg)
+def test_lone_user_with_zero_channel_voids_the_grant(monkeypatch):
+    cfg = ScenarioConfig(scenario="B", p_tr=1.0, n_drops=1, n_rounds=1, seed=13)
+    drop = init_drop(cfg, np.random.SeedSequence(21))
+    drop.table.resample(drop.rng)
+    user = drop.sched.served[CENTRAL_AP][0]
+    traffic = mac.TrafficState(active_dl=frozenset({user}), active_ul=frozenset())
+    medium = RoundMedium(drop, traffic, None)
+    monkeypatch.setattr(drop.table, "array_rows", lambda ids: np.zeros((len(ids), cfg.mmimo_antennas), dtype=complex))
+    (attempt,) = mac.contend([(CENTRAL_AP, mac.MODE_LBT)], medium, drop.rng, cfg.cw_slots)
+    assert not attempt.granted and attempt.defer_cause == mac.DEFER_NONE
+    assert medium.active == [] and medium.scheduled == {}
+    assert medium.activate(CENTRAL_AP) is False
 
 
 @pytest.mark.parametrize(
@@ -258,17 +300,13 @@ def test_scenario_c_partition_members_follow_phase():
     ul_fraction=st.floats(0.0, 1.0),
     n_stas=st.integers(1, 40),
     array=st.tuples(st.integers(2, 36), st.integers(1, 8), st.integers(0, 34)),
-    flags=st.tuples(st.booleans(), st.booleans(), st.booleans(), st.booleans()),
-    covariance_scope=st.sampled_from(["active", "persistent"]),
+    partition=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_round_outcomes_keep_engine_invariants(
-    scenario, p_tr, ul_fraction, n_stas, array, flags, covariance_scope, seed
-):
+def test_round_outcomes_keep_engine_invariants(scenario, p_tr, ul_fraction, n_stas, array, partition, seed):
     mmimo_antennas, streams, nulls = array
     max_streams = min(streams, mmimo_antennas)
     n_nulls = min(nulls, mmimo_antennas - max_streams)
-    partition, own_cell, cap_by_energy, busy_withdraws = flags
     cfg = ScenarioConfig(
         scenario=scenario,
         p_tr=p_tr,
@@ -278,10 +316,6 @@ def test_round_outcomes_keep_engine_invariants(
         max_streams=max_streams,
         n_nulls=n_nulls,
         partition_enabled=partition,
-        covariance_includes_own_cell=own_cell,
-        null_cap_by_energy=cap_by_energy,
-        ap_busy_rx_withdraws=busy_withdraws,
-        covariance_scope=covariance_scope,
         n_drops=2,
         n_rounds=3,
         seed=seed,

@@ -5,14 +5,12 @@ import pytest
 
 from mmimo_coex.config import ScenarioConfig
 from mmimo_coex.geometry import (
-    AssociationMap,
     FloorPlan,
     NodeDescriptor,
     ROLE_AP,
     ROLE_STA,
     associate,
     generate_drop,
-    validate_coverage,
 )
 
 
@@ -122,11 +120,3 @@ def test_associate_idempotent():
     second = associate(stas, aps, gains)
     assert first == second
 
-
-def test_validate_coverage():
-    powers = {0: 24.0}
-    amap = AssociationMap(serving={3: 0}, served={0: (3,)})
-    assert validate_coverage(amap, {(3, 0): -106.0}, powers)  # RSS exactly -82
-    assert not validate_coverage(amap, {(3, 0): -107.0}, powers)  # -83 dBm
-    empty = AssociationMap(serving={}, served={0: ()})
-    assert validate_coverage(empty, {}, powers)
