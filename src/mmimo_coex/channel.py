@@ -10,7 +10,7 @@ Conventions
   loss + shadowing + 0 dBi antenna gains) is carried separately.
 """
 
-import functools
+import cmath
 import math
 
 import numpy as np
@@ -81,26 +81,6 @@ def received_covariance(x, active, links, powers, noise_power=0.0):
     return (z + z.conj().T) / 2.0
 
 
-@functools.lru_cache(maxsize=8)
-def _pair_layout(n):
-    """Read-only index tables shared by every drop of n nodes.
-
-    Returns the upper-triangle pair order of the fading draws, then for each
-    node its n-1 link partners in id order and the position of each of those
-    links in the pair order, then the off-diagonal mask they were cut with.
-    """
-    iu = np.triu_indices(n, 1)
-    pair = np.zeros((n, n), dtype=int)
-    pair[iu] = np.arange(len(iu[0]))
-    pair += pair.T
-    off_diagonal = ~np.eye(n, dtype=bool)
-    node_pairs = pair[off_diagonal].reshape(n, n - 1)
-    partners = np.nonzero(off_diagonal)[1].reshape(n, n - 1)
-    for table in (*iu, node_pairs, partners, off_diagonal):
-        table.flags.writeable = False
-    return iu, node_pairs, partners, off_diagonal
-
-
 class ChannelTable:
     """Per-drop channel state for all node pairs.
 
@@ -113,13 +93,15 @@ class ChannelTable:
     v_j. Path-loss, shadowing, K-factor and carrier parameters are read from
     the scenario configuration.
 
-    `resample` makes every random draw of the snapshot and keeps the draws;
-    only the per-node factors of the array links are computed there. A
-    scalar coefficient is computed on first read, together with every other
-    link of its transmitter, and an array-link vector on the first read of
-    its row; both are cached until the next `resample`. Each transform is a
-    numpy operation on a slice of the draws, so every value is bit for bit
-    the one a transform of all pairs at once would give.
+    `resample` makes no random draw: it keeps the drop's generator and clears
+    the snapshot. A link's fading is drawn from that generator on its first
+    read in the snapshot and cached until the next `resample`: a scalar pair
+    with `standard_normal(3)` (K-factor, Rayleigh re and im) then `random()`
+    (LOS phase), a batch of n array rows with `standard_normal((n, 2M + 1))`
+    (per row M Rayleigh (re, im) pairs, then the K-factor) then
+    `random((3, n))` (azimuth, cos elevation, LOS phase). Every link is i.i.d.
+    Ricean whatever the read order, but which values a link gets depends on
+    that order.
     """
 
     def __init__(self, nodes, config, rng):
@@ -135,10 +117,10 @@ class ChannelTable:
         pos = np.array([nd.position for nd in nodes])
         diff = pos[:, None, :] - pos[None, :, :]
         self.dist = np.sqrt(np.sum(diff**2, axis=2))
-        self._iu, self._node_pairs, self._partners, off_diagonal = _pair_layout(self.n)
-        n_pairs = len(self._iu[0])
+        iu = np.triu_indices(self.n, 1)
+        n_pairs = len(iu[0])
 
-        d_pairs = self.dist[self._iu]
+        d_pairs = self.dist[iu]
         los_pairs = rng.random(n_pairs) < los_probability(d_pairs)
         shadow_pairs = shadowing_db(los_pairs, rng, n_pairs, config.shadowing_sigma_los_db, config.shadowing_sigma_nlos_db)
         los_coef = (config.pl_los_intercept, config.pl_los_slope)
@@ -146,21 +128,17 @@ class ChannelTable:
         pl_pairs = path_loss_db(d_pairs, los_pairs, config.carrier_ghz, los_coef, nlos_coef)
 
         self.los = np.zeros((self.n, self.n), dtype=bool)
-        self.los[self._iu] = los_pairs
+        self.los[iu] = los_pairs
         self.los |= self.los.T
         slow_db = np.zeros((self.n, self.n))
-        slow_db[self._iu] = -(pl_pairs + shadow_pairs)
+        slow_db[iu] = -(pl_pairs + shadow_pairs)
         slow_db += slow_db.T
         self.slow_gain_db = slow_db
         self.slow_gain = db_to_linear(slow_db)
         np.fill_diagonal(self.slow_gain, 0.0)
 
-        n = self.n
-        self._node_los = self.los[off_diagonal].reshape(n, n - 1)  # LOS state of each _partners link
-        self._pair_draws = np.empty((4, n_pairs))  # K-factor dB, Rayleigh re, im, LOS phase
-        self._h = np.zeros((n, n), dtype=complex)  # row and column j valid once node j is filled
-        self._h_ready = np.zeros(n, dtype=bool)
-
+        self._rng = None
+        self._pairs = {}  # (low id, high id) -> coefficient seen by the low id
         if self.array_node is not None:
             m = self.array_size
             side = math.isqrt(m)
@@ -168,82 +146,72 @@ class ChannelTable:
                 rows, cols = np.divmod(np.arange(m), side)
             else:
                 rows, cols = np.arange(m), np.zeros(m)
-            self._ant_rows, self._ant_cols = rows.astype(float), cols.astype(float)
-            self._node_terms = np.empty((5, n))  # kx, ky, psi, LOS mix, Rayleigh mix
-            self._ray_rows = np.empty((2, n, m))
-            self._rows = np.zeros((n, m), dtype=complex)
-            self._row_ready = np.zeros(n, dtype=bool)
+            # a row's steering phases are (kx, ky, psi) @ _grid
+            self._grid = np.array([rows, cols, np.ones(m)], dtype=float)
+            self._rows = np.zeros((self.n, m), dtype=complex)  # the array's own row stays zero
+            self._row_ready = []  # per node, set by resample
 
     def resample(self, rng):
-        """Start a block-fading snapshot: make every fast-fading draw of every
-        pair; links are transformed on their first read."""
-        n = self.n
-        n_pairs = len(self._iu[0])
-        draws = self._pair_draws
-        draws[0] = rng.normal(*self.k_factor_db, n_pairs)
-        rng.standard_normal(out=draws[1])
-        rng.standard_normal(out=draws[2])
-        draws[3] = rng.uniform(0.0, 2.0 * np.pi, n_pairs)
-        self._h_ready[:] = False
-
+        """Start a block-fading snapshot whose links draw from `rng` on first read."""
+        self._rng = rng
+        self._pairs.clear()
         if self.array_node is not None:
-            x, terms = self.array_node, self._node_terms
-            k_db_x = rng.normal(*self.k_factor_db, n)
-            k_x = np.where(self.los[x], db_to_linear(k_db_x), 0.0)
-            az = rng.uniform(0.0, 2.0 * np.pi, n)
-            cos_el = rng.uniform(-1.0, 1.0, n)
-            terms[2] = rng.uniform(0.0, 2.0 * np.pi, n)
-            sin_el = np.sqrt(1.0 - cos_el**2)
-            np.multiply(np.pi * sin_el, np.cos(az), out=terms[0])
-            np.multiply(np.pi * sin_el, np.sin(az), out=terms[1])
-            rng.standard_normal(out=self._ray_rows[0])
-            rng.standard_normal(out=self._ray_rows[1])
-            np.sqrt(k_x / (k_x + 1.0), out=terms[3])
-            np.sqrt(1.0 / (k_x + 1.0), out=terms[4])
-            self._row_ready[:] = False
-            self._row_ready[x] = True  # the array's own row stays zero
+            self._row_ready = [False] * self.n
+            self._row_ready[self.array_node] = True
 
-    def _fill_scalar(self, tx):
-        """Compute the scalar coefficients h[tx, k] of node tx's n-1 links."""
-        k_db, re, im, phase = self._pair_draws[:, self._node_pairs[tx]]
-        k_lin = np.where(self._node_los[tx], db_to_linear(k_db), 0.0)
-        k_plus_1 = k_lin + 1.0
-        ray = (re + 1j * im) / math.sqrt(2.0)
-        h_row = np.sqrt(k_lin / k_plus_1) * np.exp(1j * phase) + np.sqrt(1.0 / k_plus_1) * ray
-        # A pair's draw is the coefficient seen by its lower-numbered node;
-        # the first tx partners (ids 0..tx-1) are the lower ones.
-        np.conjugate(h_row[:tx], out=h_row[:tx])
-        partners = self._partners[tx]
-        self._h[tx, partners] = h_row
-        self._h[partners, tx] = h_row.conj()
-        self._h_ready[tx] = True
+    def _ricean(self, k_draw, los):
+        """Amplitudes of the LOS term and of each Rayleigh component of a
+        unit-power Ricean coefficient, its K-factor in dB being the standard
+        normal `k_draw` mapped onto the configured law; off LOS, K = 0."""
+        k = 10.0 ** ((self.k_factor_db[0] + self.k_factor_db[1] * k_draw) / 10.0) if los else 0.0
+        return math.sqrt(k / (k + 1.0)), math.sqrt(1.0 / (k + 1.0)) / math.sqrt(2.0)
 
-    def _fill_rows(self, ids):
-        """Compute the array-link vectors of the nodes in `ids`."""
-        kx, ky, psi, mix_los, mix_ray = self._node_terms[:, ids, None]
-        re, im = self._ray_rows[:, ids]
-        steer = np.exp(1j * (kx * self._ant_rows + ky * self._ant_cols + psi))
-        self._rows[ids] = mix_los * steer + mix_ray * ((re + 1j * im) / math.sqrt(2.0))
-        self._row_ready[ids] = True
+    def _draw_pair(self, low, high):
+        """Draw the coefficient of the (low, high) scalar link as seen by `low`."""
+        k_draw, re, im = self._rng.standard_normal(3).tolist()
+        los_amp, ray_amp = self._ricean(k_draw, self.los[low, high])
+        return cmath.rect(los_amp, 2.0 * math.pi * self._rng.random()) + ray_amp * complex(re, im)
+
+    def _draw_rows(self, ids):
+        """Draw the array-link vectors of the distinct nodes `ids`, in that order.
+
+        The per-node terms are Python floats and only the per-antenna part is
+        vectorised: most batches hold one row, where numpy's per-call cost
+        would dominate.
+        """
+        m, x = self.array_size, self.array_node
+        z = self._rng.standard_normal((len(ids), 2 * m + 1))
+        uniforms = self._rng.random((3, len(ids))).tolist()
+        terms = []  # per node: kx, ky, LOS phase psi, LOS and Rayleigh amplitudes
+        for los, k_draw, az, cos_el, psi in zip(self.los[x, ids].tolist(), z[:, -1].tolist(), *uniforms):
+            az, cos_el = 2.0 * math.pi * az, 2.0 * cos_el - 1.0
+            reach = math.pi * math.sqrt(1.0 - cos_el * cos_el)  # pi sin(elevation)
+            terms += (reach * math.cos(az), reach * math.sin(az), 2.0 * math.pi * psi, *self._ricean(k_draw, los))
+        t = np.array(terms).reshape(len(ids), 5)
+        steer = np.exp(1j * (t[:, :3] @ self._grid))
+        self._rows[ids] = t[:, 3:4] * steer + t[:, 4:] * z[:, :-1].view(complex)
+        for j in ids:
+            self._row_ready[j] = True
 
     def scalar_h(self, rx, tx):
         """Fading coefficient of the (rx, tx) link between single-antenna nodes."""
-        if not (self._h_ready[tx] or self._h_ready[rx]):
-            self._fill_scalar(tx)
-        return self._h[rx, tx]
+        key = (rx, tx) if rx < tx else (tx, rx)
+        h = self._pairs.get(key)
+        if h is None:
+            h = self._pairs[key] = self._draw_pair(*key)
+        return h if rx < tx else h.conjugate()
 
     def array_rows(self, ids):
         """Array-link vectors v_j, one row per node id in `ids`, shape (len(ids), M)."""
-        ids = np.asarray(ids, dtype=int)
-        todo = ids[~self._row_ready[ids]]
-        if todo.size:
-            self._fill_rows(todo)
+        todo = [j for j in dict.fromkeys(ids) if not self._row_ready[j]]
+        if todo:
+            self._draw_rows(todo)
         return self._rows[ids]
 
     def _row(self, j):
         """Array-link vector of node j, a view that the next snapshot overwrites."""
         if not self._row_ready[j]:
-            self._fill_rows([j])
+            self._draw_rows([j])
         return self._rows[j]
 
     def link_h(self, rx, tx):

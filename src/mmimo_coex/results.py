@@ -75,7 +75,7 @@ def _version_string():
         )
         if described.returncode == 0:
             return f"mmimo-coex-0.1.0+g{described.stdout.strip()}"
-    except OSError:
+    except (OSError, subprocess.SubprocessError):  # no git, or it hung
         pass
     return "mmimo-coex-0.1.0"
 

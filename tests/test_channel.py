@@ -272,75 +272,152 @@ def test_channel_table_rejects_two_arrays():
         ChannelTable(nodes, ScenarioConfig(), np.random.default_rng(0))
 
 
-def _eager_resample(table, rng):
-    """Reference: the snapshot transform of every pair and array row at once,
-    making the same draws in the same order as `ChannelTable.resample`.
-    Returns the Hermitian scalar matrix and the (n, M) array-link vectors."""
-    n = table.n
-    iu = np.triu_indices(n, 1)
-    n_pairs = len(iu[0])
-    los_pairs = table.los[iu]
-
-    k_db = rng.normal(*table.k_factor_db, n_pairs)
-    k_lin = np.where(los_pairs, db_to_linear(k_db), 0.0)
-    ray = (rng.standard_normal(n_pairs) + 1j * rng.standard_normal(n_pairs)) / math.sqrt(2.0)
-    phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n_pairs))
-    h_pairs = np.sqrt(k_lin / (k_lin + 1.0)) * phase + np.sqrt(1.0 / (k_lin + 1.0)) * ray
-    h = np.zeros((n, n), dtype=complex)
-    h[iu] = h_pairs
-    h = h + h.conj().T
-    if table.array_node is None:
-        return h, None
-
-    x, m = table.array_node, table.array_size
-    k_db_x = rng.normal(*table.k_factor_db, n)
-    k_x = np.where(table.los[x], db_to_linear(k_db_x), 0.0)
-    az = rng.uniform(0.0, 2.0 * np.pi, n)
-    cos_el = rng.uniform(-1.0, 1.0, n)
-    psi = rng.uniform(0.0, 2.0 * np.pi, n)
-    sin_el = np.sqrt(1.0 - cos_el**2)
-    kx = np.pi * sin_el * np.cos(az)
-    ky = np.pi * sin_el * np.sin(az)
-    side = math.isqrt(m)
-    if side * side == m:
-        rows, cols = np.divmod(np.arange(m), side)
-    else:
-        rows, cols = np.arange(m), np.zeros(m)
-    steer = np.exp(1j * (np.outer(kx, rows) + np.outer(ky, cols) + psi[:, None]))
-    ray_x = (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))) / math.sqrt(2.0)
-    mix_los = np.sqrt(k_x / (k_x + 1.0))[:, None]
-    mix_ray = np.sqrt(1.0 / (k_x + 1.0))[:, None]
-    array_vec = mix_los * steer + mix_ray * ray_x
-    array_vec[x] = 0.0
-    return h, array_vec
-
-
-@pytest.mark.parametrize("seed", [1, 2, 3])
-@pytest.mark.parametrize("scenario", ["A", "C"])
-def test_lazy_fading_matches_eager_reference(scenario, seed):
+def _drop_table(scenario, seed):
+    """A generated drop's channel table at its first snapshot, with its rng."""
     cfg = ScenarioConfig(scenario=scenario)
     rng = np.random.default_rng(seed)
     _, nodes = generate_drop(cfg, rng)
     table = ChannelTable(nodes, cfg, rng)
-    n, x = table.n, table.array_node
-    scalar = [(a, b) for a in range(n) for b in range(n) if a != b and x not in (a, b)]
-    for _ in range(3):  # later snapshots must not see an earlier one's cache
-        ref_rng = copy.deepcopy(rng)
-        h_ref, vec_ref = _eager_resample(table, ref_rng)
+    table.resample(rng)
+    return table, rng
+
+
+def _scalar_links(table):
+    x = table.array_node
+    return [(a, b) for a in range(table.n) for b in range(table.n) if a != b and x not in (a, b)]
+
+
+def test_resample_makes_no_draw():
+    table, rng = _drop_table("C", 1)
+    table.scalar_h(3, 4)
+    table.array_rows([5, 6])
+    state = rng.bit_generator.state
+    table.resample(rng)
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("scenario", ["A", "C"])
+def test_second_read_draws_nothing(scenario):
+    table, rng = _drop_table(scenario, 2)
+    x = table.array_node
+    first = {(a, b): table.link_h(a, b).copy() for a, b in _scalar_links(table)[::7]}
+    if x is not None:
+        first.update({(j, x): table.link_h(j, x).copy() for j in range(0, table.n, 3) if j != x})
+    state = rng.bit_generator.state
+    for (a, b), h in first.items():
+        assert np.array_equal(table.link_h(a, b), h)
+        assert np.array_equal(table.link_h(b, a), h.conj().T)
+        if x is None:
+            assert table.scalar_h(b, a) == h[0, 0].conjugate()
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("scenario", ["A", "C"])
+def test_reciprocity_whatever_the_read_order(scenario, seed):
+    table, _ = _drop_table(scenario, seed)
+    links = [(a, b) for a in range(table.n) for b in range(table.n) if a != b]
+    for i in np.random.default_rng(seed).permutation(len(links)):
+        a, b = links[i]
+        assert np.array_equal(table.link_h(a, b), table.link_h(b, a).conj().T)
+
+
+def test_next_resample_redraws():
+    table, rng = _drop_table("C", 4)
+    h, v = table.scalar_h(3, 4), table.array_rows([5])[0].copy()
+    table.resample(rng)
+    state = rng.bit_generator.state
+    assert table.scalar_h(4, 3) != h.conjugate()
+    assert not np.array_equal(table.array_rows([5])[0], v)
+    assert rng.bit_generator.state != state
+
+
+def _scalar_reference(table, low, high, rng):
+    """The documented transform of one scalar pair's draws."""
+    k_draw, re, im = rng.standard_normal(3)
+    phase = 2.0 * math.pi * rng.random()
+    k = float(db_to_linear(table.k_factor_db[0] + table.k_factor_db[1] * k_draw)) if table.los[low, high] else 0.0
+    return math.sqrt(k / (k + 1)) * np.exp(1j * phase) + math.sqrt(1 / (k + 1)) * (re + 1j * im) / math.sqrt(2)
+
+
+def _rows_reference(table, ids, rng):
+    """The documented transform of one batch of array-row draws."""
+    m = table.array_size
+    z = rng.standard_normal((len(ids), 2 * m + 1))
+    u_az, u_el, u_psi = rng.random((3, len(ids)))
+    az, cos_el, psi = 2 * np.pi * u_az, 2 * u_el - 1, 2 * np.pi * u_psi
+    k_db = table.k_factor_db[0] + table.k_factor_db[1] * z[:, -1]
+    k = np.where(table.los[table.array_node, ids], db_to_linear(k_db), 0.0)
+    side = math.isqrt(m)
+    grid_row, grid_col = np.divmod(np.arange(m), side)
+    rows = []
+    for i in range(len(ids)):
+        sin_el = math.sqrt(1 - cos_el[i] ** 2)
+        phase = math.pi * sin_el * (math.cos(az[i]) * grid_row + math.sin(az[i]) * grid_col) + psi[i]
+        ray = (z[i, 0 : 2 * m : 2] + 1j * z[i, 1 : 2 * m : 2]) / math.sqrt(2)
+        rows.append(math.sqrt(k[i] / (k[i] + 1)) * np.exp(1j * phase) + math.sqrt(1 / (k[i] + 1)) * ray)
+    return np.array(rows)
+
+
+def test_links_are_the_documented_transform_of_their_draws():
+    table, rng = _drop_table("C", 5)
+    x = table.array_node
+    for low, high in [(3, 4), (10, 0), (7, 32)]:
+        ref = copy.deepcopy(rng)
+        expected = _scalar_reference(table, min(low, high), max(low, high), ref)
+        h = table.scalar_h(low, high)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert h == pytest.approx(expected if low < high else np.conj(expected), abs=1e-12)
+    ref = copy.deepcopy(rng)
+    expected = _rows_reference(table, [9, 4, 20], ref)
+    rows = table.array_rows([9, 4, 9, 20, x])
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert np.allclose(rows[[0, 1, 3]], expected, atol=1e-12)
+    assert np.array_equal(rows[2], rows[0])  # a repeated id is drawn once
+    assert not np.any(rows[4])  # the array's own row is zero
+    ref = copy.deepcopy(rng)
+    expected = _rows_reference(table, [11], ref)
+    assert np.allclose(table.link_h(x, 11), expected.conj(), atol=1e-12)
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def _ricean_fourth_moment(k):
+    """E|h|^4 of a unit-power Ricean coefficient with linear K-factor k."""
+    return (k**2 + 4 * k + 2) / (k + 1) ** 2
+
+
+@pytest.mark.parametrize("k_db", [0.0, 10.0])
+def test_los_fading_fourth_moment_is_ricean(k_db):
+    """|h|^4 separates Ricean laws of the same unit power: a Rayleigh part of
+    the wrong scale moves it by many standard errors at both K-factors, and a
+    K-factor used in dB does so at 0 dB (10 dB is 10 in both units)."""
+    nodes = _array_world(40, 15.0)  # every link within 18 m, so all LOS
+    rng = np.random.default_rng(6)
+    table = ChannelTable(nodes, ScenarioConfig(k_factor_mean_db=k_db, k_factor_std_db=0.0), rng)
+    assert np.all(table.los | np.eye(table.n, dtype=bool))
+    scalar, array = [], []
+    for _ in range(20):
         table.resample(rng)
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
-        twin = copy.deepcopy(table)
+        scalar += [abs(table.scalar_h(a, b)) ** 4 for a in range(1, table.n) for b in range(a + 1, table.n)]
+        array.append(np.abs(table.array_rows(range(1, table.n)).ravel()) ** 4)
+    target = _ricean_fourth_moment(db_to_linear(k_db))
+    for samples in (np.array(scalar), np.concatenate(array)):
+        standard_error = np.std(samples) / math.sqrt(samples.size)
+        assert abs(np.mean(samples) - target) < 4.0 * standard_error
 
-        # rows first, one at a time, then pairs one at a time
-        rows_first = [table.link_h(j, x)[:, 0] for j in range(n)] if x is not None else []
-        pairs_late = [table.scalar_h(a, b) for a, b in scalar]
-        # pairs first, in reverse order, then every row in one shuffled batch
-        pairs_first = [twin.scalar_h(a, b) for a, b in reversed(scalar)][::-1]
-        order = np.random.default_rng(seed).permutation(n)
-        rows_late = twin.array_rows(order)[np.argsort(order)] if x is not None else []
 
-        assert np.array_equal(pairs_late, [h_ref[a, b] for a, b in scalar])
-        assert np.array_equal(pairs_first, pairs_late)
-        if x is not None:
-            assert np.array_equal(np.array(rows_first), vec_ref)
-            assert np.array_equal(rows_late, vec_ref)
+def test_pure_los_array_rows_are_planar_wavefronts():
+    """With a pure LOS path every array row is a plane wave over the 6 x 6
+    grid: one constant phase step along the grid rows, another along the columns."""
+    nodes = _array_world(40, 15.0)
+    rng = np.random.default_rng(7)
+    table = ChannelTable(nodes, ScenarioConfig(k_factor_mean_db=300.0, k_factor_std_db=0.0), rng)
+    for _ in range(5):
+        table.resample(rng)
+        grid = table.array_rows(range(1, table.n)).reshape(-1, 6, 6)
+        row_step = grid[:, 1:, :] / grid[:, :-1, :]
+        col_step = grid[:, :, 1:] / grid[:, :, :-1]
+        assert np.allclose(row_step, row_step[:, :1, :1], atol=1e-12)
+        assert np.allclose(col_step, col_step[:, :1, :1], atol=1e-12)
+        # the two steps are independent plane-wave phases, not one shared one
+        assert not np.allclose(row_step[:, 0, 0], col_step[:, 0, 0])

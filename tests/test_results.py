@@ -2,6 +2,7 @@ import csv
 import filecmp
 import json
 import os
+import subprocess
 
 import numpy as np
 import pytest
@@ -95,3 +96,14 @@ def test_emit_byte_identical_across_runs(tmp_path):
     emit_results(second, out_dir=dir_b)
     for name in ("samples.csv", "access_rate.csv", "sinr_cdf.csv", "throughput_cdf.csv"):
         assert filecmp.cmp(os.path.join(dir_a, name), os.path.join(dir_b, name), shallow=False)
+
+
+def test_emit_survives_a_hung_git(tiny_results, tmp_path, monkeypatch):
+    def hung(cmd, **kwargs):
+        raise subprocess.TimeoutExpired(cmd, kwargs.get("timeout"))
+
+    monkeypatch.setattr(subprocess, "run", hung)
+    out = tmp_path / "run"
+    emit_results(tiny_results, out_dir=str(out))
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["version"] == "mmimo-coex-0.1.0"
