@@ -4,6 +4,7 @@ import argparse
 import csv
 import os
 import sys
+import tempfile
 
 from .config import ScenarioConfig, load_config
 from .engine import run_simulation
@@ -39,8 +40,18 @@ def _print_summary(results):
     print(f"  DL user SINR p5/p50: {results.sinr_percentile_db(5):.2f} / {results.sinr_percentile_db(50):.2f} dB")
 
 
+def _writable_dir(path):
+    """Create `path` and write a scratch file there: a bad `--out` fails before any simulation."""
+    try:
+        os.makedirs(path, exist_ok=True)
+        tempfile.TemporaryFile(dir=path).close()
+    except OSError as exc:
+        raise ConfigError(f"cannot write to output directory {path!r}: {exc.strerror or exc}") from None
+
+
 def cmd_run(args):
     cfg = _base_config(args).validate()
+    _writable_dir(cfg.out_dir)
     results = run_simulation(cfg)
     paths = emit_results(results)
     _print_summary(results)
@@ -52,23 +63,28 @@ def cmd_run(args):
 def cmd_sweep(args):
     base = _base_config(args)
     scenarios = [s.strip() for s in args.scenarios.split(",") if s.strip()]
+    if not scenarios:
+        raise ConfigError(f"--scenarios: expected comma-separated scenario names, got {args.scenarios!r}")
     try:
         ptrs = [float(p) for p in args.ptrs.split(",")]
     except ValueError:
         raise ConfigError(f"--ptrs: expected comma-separated numbers, got {args.ptrs!r}") from None
-    rows = []
+    grid = []  # every cell is validated before the first one runs
     for scenario in scenarios:
         for p_tr in ptrs:
             sub = os.path.join(base.out_dir, f"{scenario}_ptr{p_tr:g}")
-            cfg = base.replace(scenario=scenario, p_tr=p_tr, out_dir=sub).validate()
-            results = run_simulation(cfg)
-            emit_results(results)
-            _print_summary(results)
-            rows.append(
-                [scenario, p_tr]
-                + [results.ap_access_success(ap) for ap in range(3)]
-                + [results.median_sum_throughput(), results.sinr_percentile_db(5)]
-            )
+            grid.append((scenario, p_tr, base.replace(scenario=scenario, p_tr=p_tr, out_dir=sub).validate()))
+    _writable_dir(base.out_dir)
+    rows = []
+    for scenario, p_tr, cfg in grid:
+        results = run_simulation(cfg)
+        emit_results(results)
+        _print_summary(results)
+        rows.append(
+            [scenario, p_tr]
+            + [results.ap_access_success(ap) for ap in range(3)]
+            + [results.median_sum_throughput(), results.sinr_percentile_db(5)]
+        )
     summary_path = os.path.join(base.out_dir, "sweep_summary.csv")
     with open(summary_path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -81,9 +97,6 @@ def cmd_sweep(args):
 
 
 def cmd_validate_config(args):
-    if not args.config:
-        print("validate-config requires --config", file=sys.stderr)
-        return 2
     try:
         cfg = load_config(args.config)
         cfg.validate()

@@ -1,7 +1,7 @@
 """Monte-Carlo driver: drop initialization, the per-round contention and
-transmission pipeline, and metric accumulation across drops."""
+transmission pipeline, and the fold of each drop's round outcomes."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,6 +18,8 @@ CENTRAL_AP = 1
 
 @dataclass
 class RoundOutcome:
+    """Everything a round leaves behind; `run_drop` folds it into the drop's result."""
+
     attempts: list
     active_ids: tuple
     scheduled: dict  # ap_id -> tuple of sta_ids
@@ -27,6 +29,8 @@ class RoundOutcome:
 
 @dataclass
 class DropState:
+    """A drop's inputs and the scheduler's cursors; rounds record nothing here."""
+
     config: object
     nodes: list
     table: ChannelTable
@@ -35,11 +39,6 @@ class DropState:
     noise_sta_mw: float
     noise_ap_mw: float
     rate_table: phy.RateTable = phy.RateTable()
-    # accumulators
-    ap_attempts: np.ndarray = field(default_factory=lambda: np.zeros(3, dtype=int))
-    ap_grants: np.ndarray = field(default_factory=lambda: np.zeros(3, dtype=int))
-    sinr_db: list = field(default_factory=list)
-    rate_sum: dict = field(default_factory=dict)
 
     @property
     def aps(self):
@@ -180,10 +179,10 @@ class RoundMedium:
         return False
 
     def _activate_ap(self, ap):
-        n_nulls, u_null = 0, None
+        u_null = np.empty((ap.num_antennas, 0), dtype=complex)  # (M, N) null directions
         if self.access_mode(ap.id) == mac.MODE_ELBT:
-            sub = self._covariance_subspace(ap.id)
-            u_null, n_nulls = sub.dominant, sub.n_dominant
+            u_null = self._covariance_subspace(ap.id).dominant
+        n_nulls = u_null.shape[1]
         users = mac.schedule(ap.id, self.traffic, self.drop.sched, self.partition_phase(ap.id))
         if not users:
             return False
@@ -208,9 +207,7 @@ class RoundMedium:
             # one C-ordered column per user: BLAS results can depend on the layout
             h_users = np.ascontiguousarray(table.array_rows(users).T)
             try:
-                if u_null is not None and u_null.shape[1] > 0:
-                    return beamforming.zf_with_nulls(h_users, u_null, user_map=users)
-                return beamforming.zf_precoder(h_users, user_map=users)
+                return beamforming.zf_with_nulls(h_users, u_null, user_map=users)
             except SingularChannelError:
                 if len(users) == 1:
                     return None
@@ -224,9 +221,7 @@ def _weakest_column(h_users, u_null):
     k = h_users.shape[1]
     residuals = []
     for i in range(k):
-        others = np.delete(h_users, i, axis=1)
-        if u_null is not None and u_null.shape[1] > 0:
-            others = np.concatenate([others, u_null], axis=1)
+        others = np.concatenate([np.delete(h_users, i, axis=1), u_null], axis=1)
         q, _ = np.linalg.qr(others)
         col = h_users[:, i]
         residuals.append(np.linalg.norm(col - q @ (q.conj().T @ col)))
@@ -234,27 +229,24 @@ def _weakest_column(h_users, u_null):
 
 
 def init_drop(config, seed):
-    """Build one deployment realization with its slow-fading state."""
+    """Build one deployment realization with its slow-fading state; association
+    and the user partition read the table's (row = STA, column = AP) gains."""
     rng = np.random.default_rng(seed)
-    _, nodes = generate_drop(config, rng)
+    nodes = generate_drop(config, rng)
     table = ChannelTable(nodes, config, rng)
-    aps, stas = nodes[:3], nodes[3:]
-    assoc = associate(stas, aps, {(s.id, a.id): table.slow_gain_db[s.id, a.id] for s in stas for a in aps})
+    aps = nodes[:3]
 
     noise_sta = phy.noise_power(config.bandwidth_hz, config.sta_noise_figure_db, config.noise_psd_dbm_hz)
     noise_ap = phy.noise_power(config.bandwidth_hz, config.ap_noise_figure_db, config.noise_psd_dbm_hz)
 
-    k_max = {a.id: 1 for a in aps}
-    if config.scenario in ("B", "C"):
-        k_max[CENTRAL_AP] = config.max_streams
-    sched = mac.SchedulerState(served=dict(assoc.served), k_max=k_max)
+    serving = associate(config.ap_max_power_dbm + table.slow_gain_db[3:, :3])
+    served = {a.id: tuple(int(s) for s in np.flatnonzero(serving == a.id) + 3) for a in aps}
+    k_max = {a.id: config.max_streams if a.num_antennas > 1 else 1 for a in aps}
+    sched = mac.SchedulerState(served=served, k_max=k_max)
     if config.scenario == "C":
-        powers_mw = {a.id: float(dbm_to_mw(a.max_power_dbm)) for a in aps}
-        gains_lin = {(s.id, a.id): table.slow_gain[s.id, a.id] for s in stas for a in aps}
-        betas = {
-            s: mac.vulnerability_metric(s, CENTRAL_AP, list(powers_mw), gains_lin, powers_mw, noise_sta)
-            for s in assoc.served[CENTRAL_AP]
-        }
+        central = list(served[CENTRAL_AP])
+        rx_mw = float(dbm_to_mw(config.ap_max_power_dbm)) * table.slow_gain[central, :3]
+        betas = dict(zip(central, mac.vulnerability(rx_mw, CENTRAL_AP, noise_sta)))
         sched.elbt_set, sched.lbt_set = mac.partition_by_vulnerability(betas, config.elbt_fraction)
 
     return DropState(
@@ -304,14 +296,6 @@ def run_round(drop, round_index):
             user_sinr_db[u] = float(sinr_db)
             user_rate[u] = phy.map_rate(sinr_db, drop.rate_table)
 
-    for att in attempts:
-        if drop.nodes[att.node_id].role == ROLE_AP:
-            drop.ap_attempts[att.node_id] += 1
-            drop.ap_grants[att.node_id] += int(att.granted)
-    drop.sinr_db.extend(user_sinr_db.values())
-    for u, r in user_rate.items():
-        drop.rate_sum[u] = drop.rate_sum.get(u, 0.0) + r
-
     return RoundOutcome(
         attempts=attempts,
         active_ids=active,
@@ -322,15 +306,25 @@ def run_round(drop, round_index):
 
 
 def run_drop(config, seed):
+    """Run one drop's rounds and fold each RoundOutcome into its DropResult."""
     drop = init_drop(config, seed)
+    attempts, grants, sinr_db = [0, 0, 0], [0, 0, 0], []
+    rate_sum = {s.id: 0.0 for s in drop.stas}
     for r in range(config.n_rounds):
-        run_round(drop, r)
+        out = run_round(drop, r)
+        for att in out.attempts:
+            if drop.nodes[att.node_id].role == ROLE_AP:
+                attempts[att.node_id] += 1
+                grants[att.node_id] += int(att.granted)
+        sinr_db.extend(out.user_sinr_db.values())
+        for u, rate in out.user_rate_bps.items():
+            rate_sum[u] += rate
     scale = config.dl_airtime_fraction / config.n_rounds if config.n_rounds else 0.0
-    throughput = {s.id: drop.rate_sum.get(s.id, 0.0) * scale for s in drop.stas}
+    throughput = {s: total * scale for s, total in rate_sum.items()}
     return DropResult(
-        ap_attempts=tuple(int(v) for v in drop.ap_attempts),
-        ap_grants=tuple(int(v) for v in drop.ap_grants),
-        sinr_db=np.asarray(drop.sinr_db, dtype=float),
+        ap_attempts=tuple(attempts),
+        ap_grants=tuple(grants),
+        sinr_db=np.asarray(sinr_db, dtype=float),
         user_throughput_bps=throughput,
         sum_throughput_bps=float(sum(throughput.values())),
     )

@@ -66,19 +66,14 @@ def preamble_detect(per_source_rx, gamma_preamble, min_sinr):
     return any(p >= gamma_preamble and s >= min_sinr for p, s in per_source_rx)
 
 
-def vulnerability_metric(sta_id, serving_ap_id, ap_ids, slow_gains, powers, noise_power):
-    """Slow-fading SIR-like score of a STA against the non-serving APs.
-
-    beta = P_a g_a / (sum_{j != a} P_j g_j + noise), with all APs at maximum
-    power and gains taken before fast fading. High beta = far from other
-    cells, hence resilient to spectrum reuse.
+def vulnerability(rx_mw, serving_ap, noise_power):
+    """Slow-fading SIR-like score of each STA (row of `rx_mw`, the P_j g_j of
+    every AP j at maximum power, before fast fading) against the non-serving
+    APs: beta = P_a g_a / (noise + sum_{j != a} P_j g_j), summed left to right.
+    High beta = far from other cells, hence resilient to spectrum reuse.
     """
-    num = powers[serving_ap_id] * slow_gains[(sta_id, serving_ap_id)]
-    den = noise_power
-    for ap_id in ap_ids:
-        if ap_id != serving_ap_id:
-            den += powers[ap_id] * slow_gains[(sta_id, ap_id)]
-    return num / den
+    others = (rx_mw[:, j] for j in range(rx_mw.shape[1]) if j != serving_ap)
+    return rx_mw[:, serving_ap] / sum(others, noise_power)
 
 
 def partition_by_vulnerability(betas, elbt_fraction=0.4):

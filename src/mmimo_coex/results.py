@@ -8,6 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import ap_corridor_x
+
 SCHEMA_VERSION = 1
 
 
@@ -145,8 +147,6 @@ def emit_results(results, out_dir=None, out_format=None):
         paths.append(path)
 
     if out_format == "csv":
-        ap_x = [cfg.floor_width_m * (2 * a + 1) / 6.0 for a in range(3)]
-
         def _samples(fh):
             w = csv.writer(fh)
             w.writerow(["scenario", "p_tr", "drop", "metric", "value"])
@@ -155,9 +155,9 @@ def emit_results(results, out_dir=None, out_format=None):
         def _access(fh):
             w = csv.writer(fh)
             w.writerow(["ap_index", "ap_x_m", "value", "prob"])
-            for ap in range(3):
+            for ap, x in enumerate(ap_corridor_x(cfg.floor_width_m)):
                 for value, prob in access_cdfs[ap]:
-                    w.writerow([ap, ap_x[ap], value, prob])
+                    w.writerow([ap, x, value, prob])
 
         def _sinr(fh):
             w = csv.writer(fh)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from conftest import crandn
+
 from mmimo_coex.beamforming import (
     CovarianceSubspace,
     dominant_subspace,
@@ -10,10 +12,6 @@ from mmimo_coex.beamforming import (
     zf_with_nulls,
 )
 from mmimo_coex.errors import CapabilityError, SingularChannelError
-
-
-def crandn(rng, *shape):
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
 
 
 # ---- matched filter ----------------------------------------------------------

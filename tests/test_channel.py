@@ -276,7 +276,7 @@ def _drop_table(scenario, seed):
     """A generated drop's channel table at its first snapshot, with its rng."""
     cfg = ScenarioConfig(scenario=scenario)
     rng = np.random.default_rng(seed)
-    _, nodes = generate_drop(cfg, rng)
+    nodes = generate_drop(cfg, rng)
     table = ChannelTable(nodes, cfg, rng)
     table.resample(rng)
     return table, rng

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from mmimo_coex import cli
 from mmimo_coex.cli import main
 from mmimo_coex.config import ScenarioConfig
 
@@ -98,3 +99,32 @@ def test_run_rejects_invalid_override(tmp_path, capsys):
     code = main(["run", "--scenario", "A", "--ptr", "2.0", "--drops", "1", "--rounds", "1", "--out", str(tmp_path / "x")])
     assert code == 2
     assert "p_tr" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_unwritable_out_dir_exits_2_before_simulating(tmp_path, capsys, monkeypatch, command):
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    out = blocker / "out"
+    monkeypatch.setattr(cli, "run_simulation", lambda cfg: pytest.fail("simulated before probing --out"))
+    assert main([command, "--drops", "1", "--rounds", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert str(out) in err
+
+
+def test_sweep_rejects_empty_scenario_list(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--scenarios", ",", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert "--scenarios" in err
+    assert not out.exists()
+
+
+def test_sweep_validates_every_cell_before_running(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_simulation", lambda cfg: pytest.fail("ran a cell before the grid was validated"))
+    assert main(["sweep", "--scenarios", "A,Z", "--ptrs", "1.0", "--out", str(tmp_path / "sweep")]) == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert "scenario" in err

@@ -67,6 +67,8 @@ def test_validate_names_offending_fields():
         {"floor_depth_m": 1e160},
         {"ap_height_m": 1e300},
         {"sta_height_m": 1e200},
+        {"floor_width_m": 0.0},
+        {"floor_depth_m": -5.0},
     ],
     ids=[
         "string-for-float",
@@ -94,6 +96,8 @@ def test_validate_names_offending_fields():
         "huge-floor-depth",
         "huge-ap-height",
         "huge-sta-height",
+        "zero-floor-width",
+        "negative-floor-depth",
     ],
 )
 def test_mistyped_or_non_finite_value_rejected(data):

@@ -28,39 +28,52 @@ def small_cfg(**kw):
 
 
 def test_no_traffic_round_is_empty():
-    drop = init_drop(small_cfg(p_tr=0.0), np.random.SeedSequence(1))
+    cfg = small_cfg(p_tr=0.0)
+    drop = init_drop(cfg, np.random.SeedSequence(1))
     out = run_round(drop, 0)
     assert out.attempts == []
     assert out.active_ids == ()
     assert out.user_rate_bps == {}
-    assert drop.ap_attempts.sum() == 0
+    assert run_drop(cfg, np.random.SeedSequence(1)).ap_attempts == (0, 0, 0)
 
 
-def test_far_apart_aps_all_granted():
+def test_far_apart_aps_all_granted(monkeypatch):
     # blow the floor up until every AP pair is below both CCA thresholds
     cfg = small_cfg(floor_width_m=30_000.0, floor_depth_m=5_000.0, p_tr=1.0, ul_fraction=0.0, n_rounds=20)
-    drop = init_drop(cfg, np.random.SeedSequence(2))
-    for r in range(cfg.n_rounds):
-        out = run_round(drop, r)
+    real_run_round = engine.run_round
+    rounds = []
+
+    def checked(drop, r):
+        out = real_run_round(drop, r)
+        rounds.append(r)
         granted_aps = [a.node_id for a in out.attempts if a.granted and a.node_id < 3]
         attempted = [a.node_id for a in out.attempts if a.node_id < 3]
         assert granted_aps == attempted  # nobody audible to anybody
-    assert np.all(drop.ap_grants == drop.ap_attempts)
+        return out
+
+    monkeypatch.setattr(engine, "run_round", checked)
+    result = run_drop(cfg, np.random.SeedSequence(2))
+    assert rounds == list(range(cfg.n_rounds))
+    assert result.ap_grants == result.ap_attempts
 
 
 def test_attempt_accounting_matches_outcome():
-    drop = init_drop(small_cfg(p_tr=0.15, n_rounds=0), np.random.SeedSequence(3))
+    cfg = small_cfg(p_tr=0.15)
+    seq = np.random.SeedSequence(3)
+    drop = init_drop(cfg, seq)
+    before = run_drop(cfg.replace(n_rounds=0), seq)
     for r in range(30):
-        before_att = drop.ap_attempts.copy()
-        before_gr = drop.ap_grants.copy()
         out = run_round(drop, r)
+        after = run_drop(cfg.replace(n_rounds=r + 1), seq)  # the fold of rounds 0..r
         contending = {a.node_id for a in out.attempts if a.node_id < 3}
         granted = {a.node_id for a in out.attempts if a.node_id < 3 and a.granted}
-        assert set(np.flatnonzero(drop.ap_attempts - before_att)) == contending
-        assert set(np.flatnonzero(drop.ap_grants - before_gr)) == granted
+        assert set(np.flatnonzero(np.subtract(after.ap_attempts, before.ap_attempts))) == contending
+        assert set(np.flatnonzero(np.subtract(after.ap_grants, before.ap_grants))) == granted
+        assert len(after.sinr_db) - len(before.sinr_db) == len(out.user_sinr_db)
         # a granted AP either scheduled users or had its grant voided
         for ap_id in granted:
             assert ap_id in out.scheduled
+        before = after
 
 
 def test_empty_run_is_valid():
@@ -327,22 +340,60 @@ def test_round_outcomes_keep_engine_invariants(scenario, p_tr, ul_fraction, n_st
             super().__init__(*args)
             media.append(self)
 
+    real_run_round = engine.run_round
+    rounds = []
+
+    def checked(drop, r):
+        out = real_run_round(drop, r)
+        rounds.append(r)
+        medium = media[-1]
+        nodes = [a.node_id for a in out.attempts]
+        assert len(nodes) == len(set(nodes))  # one attempt per node and round
+        assert out.active_ids == tuple(a.node_id for a in out.attempts if a.granted)
+        for ap_id, users in out.scheduled.items():
+            assert set(users) <= set(drop.sched.served[ap_id])
+            streams = medium.precoders[ap_id].W.shape[1]
+            assert streams == len(users)
+            assert streams + medium.null_counts[ap_id] <= drop.nodes[ap_id].num_antennas
+        assert set(out.user_sinr_db) == {u for users in out.scheduled.values() for u in users}
+        assert all(np.isfinite(v) for v in out.user_sinr_db.values())
+        return out
+
     with warnings.catch_warnings(), pytest.MonkeyPatch.context() as patch:
         warnings.simplefilter("error")
         patch.setattr(engine, "RoundMedium", RecordingMedium)
+        patch.setattr(engine, "run_round", checked)
         for seq in np.random.SeedSequence(cfg.seed).spawn(cfg.n_drops):
-            drop = init_drop(cfg, seq)
-            for r in range(cfg.n_rounds):
-                out = run_round(drop, r)
-                medium = media[-1]
-                nodes = [a.node_id for a in out.attempts]
-                assert len(nodes) == len(set(nodes))  # one attempt per node and round
-                assert out.active_ids == tuple(a.node_id for a in out.attempts if a.granted)
-                for ap_id, users in out.scheduled.items():
-                    assert set(users) <= set(drop.sched.served[ap_id])
-                    streams = medium.precoders[ap_id].W.shape[1]
-                    assert streams == len(users)
-                    assert streams + medium.null_counts[ap_id] <= drop.nodes[ap_id].num_antennas
-                assert set(out.user_sinr_db) == {u for users in out.scheduled.values() for u in users}
-                assert all(np.isfinite(v) for v in out.user_sinr_db.values())
-            assert np.all(drop.ap_grants <= drop.ap_attempts)
+            result = run_drop(cfg, seq)
+            assert all(g <= a for g, a in zip(result.ap_grants, result.ap_attempts))
+    assert rounds == list(range(cfg.n_rounds)) * cfg.n_drops
+
+
+def test_drop_result_is_the_fold_of_its_round_outcomes(monkeypatch):
+    cfg = small_cfg(scenario="B", p_tr=0.5, n_rounds=12)
+    real_run_round = engine.run_round
+    outcomes = []
+
+    def recorded(drop, r):
+        outcomes.append(real_run_round(drop, r))
+        return outcomes[-1]
+
+    monkeypatch.setattr(engine, "run_round", recorded)
+    result = run_drop(cfg, np.random.SeedSequence(8))
+    assert len(outcomes) == cfg.n_rounds
+    aps = [[a for a in out.attempts if a.node_id < 3] for out in outcomes]
+    assert result.ap_attempts == tuple(sum(a.node_id == ap for att in aps for a in att) for ap in range(3))
+    assert result.ap_grants == tuple(sum(a.node_id == ap and a.granted for att in aps for a in att) for ap in range(3))
+    assert result.sinr_db.tolist() == [v for out in outcomes for v in out.user_sinr_db.values()]
+    scale = cfg.dl_airtime_fraction / cfg.n_rounds
+    for sta, tput in result.user_throughput_bps.items():
+        assert tput == pytest.approx(scale * sum(out.user_rate_bps.get(sta, 0.0) for out in outcomes), rel=1e-12)
+    assert sum(result.ap_grants) > 0 and result.sum_throughput_bps > 0
+
+
+@pytest.mark.parametrize("scenario, budgets", [("A", (1, 1, 1)), ("B", (1, 4, 1)), ("C", (1, 4, 1))], ids="ABC")
+def test_stream_budget_follows_antenna_count_and_every_sta_is_served_once(scenario, budgets):
+    drop = init_drop(ScenarioConfig(scenario=scenario), np.random.SeedSequence(6))
+    assert tuple(drop.sched.k_max[a] for a in range(3)) == budgets
+    served = sorted(s for users in drop.sched.served.values() for s in users)
+    assert served == [s.id for s in drop.stas]

@@ -4,32 +4,18 @@ import numpy as np
 import pytest
 
 from mmimo_coex.config import ScenarioConfig
-from mmimo_coex.geometry import (
-    FloorPlan,
-    NodeDescriptor,
-    ROLE_AP,
-    ROLE_STA,
-    associate,
-    generate_drop,
-)
+from mmimo_coex.geometry import ROLE_AP, ROLE_STA, ap_corridor_x, associate, generate_drop
 
 
 def make_cfg(**kw):
     return ScenarioConfig(scenario="A", **kw)
 
 
-def test_floorplan_rejects_nonpositive_dimensions():
-    with pytest.raises(ValueError):
-        FloorPlan(width_m=0.0)
-    with pytest.raises(ValueError):
-        FloorPlan(depth_m=-5.0)
-
-
 def test_generate_drop_layout():
-    plan, nodes = generate_drop(make_cfg(n_stas=30), seed=7)
+    nodes = generate_drop(make_cfg(n_stas=30), seed=7)
     assert len(nodes) == 33
     aps, stas = nodes[:3], nodes[3:]
-    assert [ap.position[0] for ap in aps] == [20.0, 60.0, 100.0]
+    assert [ap.position[0] for ap in aps] == ap_corridor_x(120.0) == [20.0, 60.0, 100.0]
     assert all(ap.position[1:] == (25.0, 3.0) for ap in aps)
     assert all(ap.role == ROLE_AP for ap in aps)
     for sta in stas:
@@ -40,8 +26,8 @@ def test_generate_drop_layout():
 
 
 def test_generate_drop_deterministic():
-    _, nodes_a = generate_drop(make_cfg(), seed=123)
-    _, nodes_b = generate_drop(make_cfg(), seed=123)
+    nodes_a = generate_drop(make_cfg(), seed=123)
+    nodes_b = generate_drop(make_cfg(), seed=123)
     assert nodes_a == nodes_b
 
 
@@ -51,7 +37,7 @@ def test_generate_drop_rejects_empty():
 
 
 def test_scenario_b_antenna_counts():
-    _, nodes = generate_drop(ScenarioConfig(scenario="B"), seed=1)
+    nodes = generate_drop(ScenarioConfig(scenario="B"), seed=1)
     assert [n.num_antennas for n in nodes[:3]] == [1, 36, 1]
 
 
@@ -61,7 +47,7 @@ def test_sta_position_uniformity():
     cfg = make_cfg(n_stas=1)
     xs, ys = [], []
     for seed in range(n_drops):
-        _, nodes = generate_drop(cfg, seed=seed)
+        nodes = generate_drop(cfg, seed=seed)
         xs.append(nodes[3].position[0])
         ys.append(nodes[3].position[1])
     se_x = (120.0 / np.sqrt(12.0)) / np.sqrt(n_drops)
@@ -70,53 +56,37 @@ def test_sta_position_uniformity():
     assert abs(np.mean(ys) - 25.0) < 3 * se_y
 
 
-def _mini_world():
-    aps = [
-        NodeDescriptor(0, ROLE_AP, (20.0, 25.0, 3.0), 1, 24.0),
-        NodeDescriptor(1, ROLE_AP, (60.0, 25.0, 3.0), 1, 24.0),
-        NodeDescriptor(2, ROLE_AP, (100.0, 25.0, 3.0), 1, 24.0),
-    ]
-    stas = [
-        NodeDescriptor(3, ROLE_STA, (60.0, 25.0, 1.5), 1, 18.0),
-        NodeDescriptor(4, ROLE_STA, (10.0, 10.0, 1.5), 1, 18.0),
-    ]
-    return aps, stas
+# STA rows x AP columns, as init_drop reads them off the channel table
+_AP_POWER_DBM = 24.0
+
+
+def _rss_by_distance():
+    aps = [(20.0, 25.0, 3.0), (60.0, 25.0, 3.0), (100.0, 25.0, 3.0)]
+    stas = [(60.0, 25.0, 1.5), (10.0, 10.0, 1.5)]
+    return np.array([[_AP_POWER_DBM - 50.0 - math.dist(s, a) for a in aps] for s in stas])
 
 
 def test_associate_picks_largest_rss():
-    aps, stas = _mini_world()
-    gains = {
-        (3, 0): -70.0, (3, 1): -60.0, (3, 2): -80.0,
-        (4, 0): -55.0, (4, 1): -75.0, (4, 2): -90.0,
-    }
-    amap = associate(stas, aps, gains)
-    assert amap.serving == {3: 1, 4: 0}
-    assert amap.served[1] == (3,)
-    assert amap.served[2] == ()
+    gains = np.array([[-70.0, -60.0, -80.0], [-55.0, -75.0, -90.0]])
+    serving = associate(_AP_POWER_DBM + gains)
+    assert serving.tolist() == [1, 0]
+    assert np.flatnonzero(serving == 1).tolist() == [0]
+    assert np.flatnonzero(serving == 2).tolist() == []
 
 
 def test_associate_tie_breaks_to_lowest_ap_id():
-    aps, stas = _mini_world()
-    gains = {(3, 0): -60.0, (3, 1): -60.0, (3, 2): -70.0,
-             (4, 0): -60.0, (4, 1): -60.0, (4, 2): -60.0}
-    amap = associate(stas, aps, gains)
-    assert amap.serving[3] == 0
-    assert amap.serving[4] == 0
+    gains = np.array([[-60.0, -60.0, -70.0], [-60.0, -60.0, -60.0]])
+    assert associate(_AP_POWER_DBM + gains).tolist() == [0, 0]
 
 
 def test_associate_permutation_invariant():
-    aps, stas = _mini_world()
-    gains = {(s.id, a.id): -50.0 - math.dist(s.position, a.position) for s in stas for a in aps}
-    forward = associate(stas, aps, gains)
-    backward = associate(list(reversed(stas)), list(reversed(aps)), gains)
-    assert forward.serving == backward.serving
-    assert forward.served == backward.served
+    rss = _rss_by_distance()
+    forward = associate(rss)
+    # reversing the STA rows reverses the choices; reversing the AP columns relabels them
+    assert associate(rss[::-1]).tolist() == forward[::-1].tolist()
+    assert (2 - associate(rss[:, ::-1])).tolist() == forward.tolist()
 
 
 def test_associate_idempotent():
-    aps, stas = _mini_world()
-    gains = {(s.id, a.id): -50.0 - math.dist(s.position, a.position) for s in stas for a in aps}
-    first = associate(stas, aps, gains)
-    second = associate(stas, aps, gains)
-    assert first == second
-
+    rss = _rss_by_distance()
+    assert np.array_equal(associate(rss), associate(rss))

@@ -66,26 +66,32 @@ def test_preamble_detect_cases():
 
 
 def test_vulnerability_isolated_sta():
-    gains = {(3, 0): 1e-6, (3, 1): 0.0, (3, 2): 0.0}
-    powers = {0: 250.0, 1: 250.0, 2: 250.0}
-    beta = mac.vulnerability_metric(3, 0, [0, 1, 2], gains, powers, noise_power=1e-9)
+    gains = np.array([[1e-6, 0.0, 0.0]])
+    powers = np.array([250.0, 250.0, 250.0])
+    (beta,) = mac.vulnerability(powers * gains, 0, noise_power=1e-9)
     assert beta == pytest.approx(250.0 * 1e-6 / 1e-9)
 
 
 def test_vulnerability_balanced_sta():
-    gains = {(3, 0): 1e-7, (3, 1): 1e-7, (3, 2): 0.0}
-    powers = {0: 250.0, 1: 250.0, 2: 0.0}
-    beta = mac.vulnerability_metric(3, 0, [0, 1, 2], gains, powers, noise_power=1e-15)
+    gains = np.array([[1e-7, 1e-7, 0.0]])
+    powers = np.array([250.0, 250.0, 0.0])
+    (beta,) = mac.vulnerability(powers * gains, 0, noise_power=1e-15)
     assert beta == pytest.approx(1.0, rel=1e-6)
+
+
+def test_vulnerability_adds_noise_then_other_aps_by_id():
+    rng = np.random.default_rng(5)
+    rx = 250.0 * 10 ** rng.uniform(-11, -6, (20, 3))
+    betas = mac.vulnerability(rx, 1, 1e-12)
+    assert betas.tolist() == [r[1] / (1e-12 + r[0] + r[2]) for r in rx.tolist()]
 
 
 def test_partition_scale_invariant():
     rng = np.random.default_rng(3)
     ids = list(range(3, 23))
-    gains = {(s, a): 10 ** rng.uniform(-11, -6) for s in ids for a in range(3)}
-    powers = {a: 250.0 for a in range(3)}
-    betas = {s: mac.vulnerability_metric(s, 1, [0, 1, 2], gains, powers, 1e-15) for s in ids}
-    scaled = {s: mac.vulnerability_metric(s, 1, [0, 1, 2], gains, {a: 500.0 for a in range(3)}, 1e-15) for s in ids}
+    gains = 10 ** rng.uniform(-11, -6, (len(ids), 3))
+    betas = dict(zip(ids, mac.vulnerability(250.0 * gains, 1, 1e-15)))
+    scaled = dict(zip(ids, mac.vulnerability(500.0 * gains, 1, 1e-15)))
     assert mac.partition_by_vulnerability(betas) == mac.partition_by_vulnerability(scaled)
 
 

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import brute_force_sinr, crandn
+
 from mmimo_coex.errors import CapabilityError
 from mmimo_coex.phy import (
     RateTable,
@@ -13,10 +15,6 @@ from mmimo_coex.phy import (
 )
 from mmimo_coex.beamforming import PrecoderSet, zf_precoder
 from mmimo_coex.units import mw_to_dbm
-
-
-def crandn(rng, *shape):
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
 
 
 # ---- transmit power -------------------------------------------------------------
@@ -131,25 +129,6 @@ def _random_instance(rng):
         powers[t] = float(10 ** rng.uniform(0, 2.5))
         links[(user, t)] = (float(10 ** rng.uniform(-12, -6)), crandn(rng, m, 1))
     return user, links, powers, precoders
-
-
-def brute_force_sinr(user, serving, active, links, powers, precoders, noise):
-    """Oracle: accumulate every (transmitter, stream) power term explicitly."""
-    signal = 0.0
-    interference = 0.0
-    for t in active:
-        g, h = links[(user, t)]
-        w = precoders[t].W
-        for k in range(w.shape[1]):
-            amp = 0.0 + 0.0j
-            for a in range(h.shape[0]):
-                amp += np.conj(h[a, 0]) * w[a, k]
-            term = powers[t] * g * (amp.real**2 + amp.imag**2)
-            if t == serving and precoders[t].user_map[k] == user:
-                signal += term
-            else:
-                interference += term
-    return signal / (interference + noise)
 
 
 def test_sinr_matches_brute_force():
