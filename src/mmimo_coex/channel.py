@@ -11,6 +11,7 @@ Conventions
 """
 
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -44,8 +45,9 @@ def path_loss_db(d_3d, los, carrier_ghz=5.18, los_coef=INH_LOS, nlos_coef=INH_NL
     """
     d = np.maximum(np.asarray(d_3d, dtype=float), 1.0)
     f_term = 20.0 * math.log10(carrier_ghz)
-    pl_los = los_coef[0] + los_coef[1] * np.log10(d) + f_term
-    pl_nlos = np.maximum(nlos_coef[0] + nlos_coef[1] * np.log10(d) + f_term, pl_los)
+    log_d = np.log10(d)
+    pl_los = los_coef[0] + los_coef[1] * log_d + f_term
+    pl_nlos = np.maximum(nlos_coef[0] + nlos_coef[1] * log_d + f_term, pl_los)
     pl = np.where(los, pl_los, pl_nlos)
     return float(pl) if np.isscalar(d_3d) else pl
 
@@ -81,6 +83,15 @@ def received_covariance(x, active, links, powers, noise_power=0.0):
     return (z + z.conj().T) / 2.0
 
 
+@functools.lru_cache(maxsize=8)
+def _upper_pairs(n):
+    """Row and column indices of the n(n-1)/2 node pairs (i < j), read-only."""
+    iu = np.triu_indices(n, 1)
+    for idx in iu:
+        idx.flags.writeable = False
+    return iu
+
+
 class ChannelTable:
     """Per-drop channel state for all node pairs.
 
@@ -107,20 +118,19 @@ class ChannelTable:
     def __init__(self, nodes, config, rng):
         self.n = len(nodes)
         self.k_factor_db = (config.k_factor_mean_db, config.k_factor_std_db)
-        antennas = np.array([nd.num_antennas for nd in nodes])
-        multi = np.flatnonzero(antennas > 1)
+        multi = [k for k, nd in enumerate(nodes) if nd.num_antennas > 1]
         if len(multi) > 1:
             raise ValueError("at most one multi-antenna node is supported per drop")
-        self.array_node = int(multi[0]) if len(multi) else None
-        self.array_size = int(antennas[multi[0]]) if len(multi) else 0
+        self.array_node = multi[0] if multi else None
+        self.array_size = nodes[multi[0]].num_antennas if multi else 0
 
-        pos = np.array([nd.position for nd in nodes])
-        diff = pos[:, None, :] - pos[None, :, :]
-        self.dist = np.sqrt(np.sum(diff**2, axis=2))
-        iu = np.triu_indices(self.n, 1)
+        iu = _upper_pairs(self.n)
         n_pairs = len(iu[0])
+        xyz = np.array(list(zip(*(nd.position for nd in nodes))))  # one row per coordinate
+        sq = xyz[:, iu[0]] - xyz[:, iu[1]]
+        sq *= sq
+        d_pairs = np.sqrt(sq[0] + sq[1] + sq[2])
 
-        d_pairs = self.dist[iu]
         los_pairs = rng.random(n_pairs) < los_probability(d_pairs)
         shadow_pairs = shadowing_db(los_pairs, rng, n_pairs, config.shadowing_sigma_los_db, config.shadowing_sigma_nlos_db)
         los_coef = (config.pl_los_intercept, config.pl_los_slope)

@@ -69,11 +69,17 @@ def cmd_sweep(args):
         ptrs = [float(p) for p in args.ptrs.split(",")]
     except ValueError:
         raise ConfigError(f"--ptrs: expected comma-separated numbers, got {args.ptrs!r}") from None
-    grid = []  # every cell is validated before the first one runs
+    grid, seen = [], {}  # every cell is validated before the first one runs
     for scenario in scenarios:
         for p_tr in ptrs:
-            sub = os.path.join(base.out_dir, f"{scenario}_ptr{p_tr:g}")
-            grid.append((scenario, p_tr, base.replace(scenario=scenario, p_tr=p_tr, out_dir=sub).validate()))
+            name = f"{scenario}_ptr{p_tr:g}"
+            cfg = base.replace(scenario=scenario, p_tr=p_tr, out_dir=os.path.join(base.out_dir, name)).validate()
+            cell = f"({scenario}, {p_tr!r})"
+            for key in (name, (cfg.scenario, cfg.p_tr)):
+                if key in seen:
+                    raise ConfigError(f"sweep cells {seen[key]} and {cell} share a run or the directory {name}")
+                seen[key] = cell
+            grid.append((scenario, p_tr, cfg))
     _writable_dir(base.out_dir)
     rows = []
     for scenario, p_tr, cfg in grid:

@@ -1,6 +1,7 @@
 """Monte-Carlo driver: drop initialization, the per-round contention and
 transmission pipeline, and the fold of each drop's round outcomes."""
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,35 @@ class RoundOutcome:
     user_rate_bps: dict  # sta_id -> float
 
 
+@dataclass(frozen=True)
+class LinkConstants:
+    """Receiver noise, CCA thresholds in linear units, and the rate table."""
+
+    noise_sta_mw: float
+    noise_ap_mw: float
+    gamma_lbt: float
+    gamma_preamble: float
+    preamble_min_sinr: float
+    rate_table: phy.RateTable
+
+
+@functools.lru_cache(maxsize=8)
+def _link_constants(
+    bandwidth_hz, noise_psd_dbm_hz, sta_noise_figure_db, ap_noise_figure_db,
+    gamma_lbt_dbm, gamma_preamble_dbm, preamble_min_sinr_db, rate_table,
+):
+    """The LinkConstants of these configuration values: every drop of a run
+    shares one instance instead of converting them again."""
+    return LinkConstants(
+        noise_sta_mw=phy.noise_power(bandwidth_hz, sta_noise_figure_db, noise_psd_dbm_hz),
+        noise_ap_mw=phy.noise_power(bandwidth_hz, ap_noise_figure_db, noise_psd_dbm_hz),
+        gamma_lbt=float(dbm_to_mw(gamma_lbt_dbm)),
+        gamma_preamble=float(dbm_to_mw(gamma_preamble_dbm)),
+        preamble_min_sinr=float(db_to_linear(preamble_min_sinr_db)),
+        rate_table=phy.RateTable(rate_table),
+    )
+
+
 @dataclass
 class DropState:
     """A drop's inputs and the scheduler's cursors; rounds record nothing here."""
@@ -36,9 +66,8 @@ class DropState:
     table: ChannelTable
     sched: mac.SchedulerState
     rng: np.random.Generator
-    noise_sta_mw: float
-    noise_ap_mw: float
-    rate_table: phy.RateTable = phy.RateTable()
+    link: LinkConstants
+    max_power_mw: list  # per node id, its maximum power in mW
 
     @property
     def aps(self):
@@ -65,9 +94,9 @@ class RoundMedium:
         self.cfg = drop.config
         self.traffic = traffic
         self.phase = phase
-        self.gamma_lbt = float(dbm_to_mw(self.cfg.gamma_lbt_dbm))
-        self.gamma_preamble = float(dbm_to_mw(self.cfg.gamma_preamble_dbm))
-        self.preamble_min_sinr = float(db_to_linear(self.cfg.preamble_min_sinr_db))
+        self.gamma_lbt = drop.link.gamma_lbt
+        self.gamma_preamble = drop.link.gamma_preamble
+        self.preamble_min_sinr = drop.link.preamble_min_sinr
         self.active = []
         self.powers = {}
         self.precoders = {}
@@ -104,7 +133,8 @@ class RoundMedium:
         return self.powers[tx_id] * table.slow_gain[rx_id, tx_id] * e / self._node(rx_id).num_antennas
 
     def _noise(self, node_id):
-        return self.drop.noise_ap_mw if self._node(node_id).role == ROLE_AP else self.drop.noise_sta_mw
+        link = self.drop.link
+        return link.noise_ap_mw if self._node(node_id).role == ROLE_AP else link.noise_sta_mw
 
     def _preamble_visible(self, tx_id, cca_slot):
         """A preamble is catchable only if the frame started within the last
@@ -150,14 +180,13 @@ class RoundMedium:
         x_node = self._node(x_id)
         own_cell = set(self.drop.sched.served[x_id])
         ids = [nd.id for nd in self.drop.nodes if nd.id != x_id and nd.id not in own_cell]
-        powers = {nd_id: float(dbm_to_mw(self._node(nd_id).max_power_dbm)) for nd_id in ids}
         # link_h(x, t) of the array receiving is v_t^H as a (1, M) matrix
         links = {(x_id, t): (table.slow_gain[x_id, t], v[None, :].conj()) for t, v in zip(ids, table.array_rows(ids))}
         z = received_covariance(
             x_node,
             [self._node(t) for t in ids],
             links,
-            powers,
+            self.drop.max_power_mw,
             noise_power=self._noise(x_id),
         )
         self._subspace = beamforming.dominant_subspace(z, self.cfg.n_nulls)
@@ -168,7 +197,7 @@ class RoundMedium:
     def activate(self, node_id, cca_slot=0):
         node = self._node(node_id)
         if node.role != ROLE_AP:
-            self.powers[node_id] = float(dbm_to_mw(node.max_power_dbm))
+            self.powers[node_id] = self.drop.max_power_mw[node_id]
             self.precoders[node_id] = beamforming.PrecoderSet(W=np.ones((1, 1), dtype=complex))
             self.active.append(node_id)
             self.start_slot[node_id] = cca_slot
@@ -234,19 +263,22 @@ def init_drop(config, seed):
     rng = np.random.default_rng(seed)
     nodes = generate_drop(config, rng)
     table = ChannelTable(nodes, config, rng)
-    aps = nodes[:3]
+    link = _link_constants(
+        config.bandwidth_hz, config.noise_psd_dbm_hz, config.sta_noise_figure_db, config.ap_noise_figure_db,
+        config.gamma_lbt_dbm, config.gamma_preamble_dbm, config.preamble_min_sinr_db, config.rate_table,
+    )
+    level_mw = {p: float(dbm_to_mw(p)) for p in {nd.max_power_dbm for nd in nodes}}  # one per distinct level
 
-    noise_sta = phy.noise_power(config.bandwidth_hz, config.sta_noise_figure_db, config.noise_psd_dbm_hz)
-    noise_ap = phy.noise_power(config.bandwidth_hz, config.ap_noise_figure_db, config.noise_psd_dbm_hz)
-
-    serving = associate(config.ap_max_power_dbm + table.slow_gain_db[3:, :3])
-    served = {a.id: tuple(int(s) for s in np.flatnonzero(serving == a.id) + 3) for a in aps}
-    k_max = {a.id: config.max_streams if a.num_antennas > 1 else 1 for a in aps}
+    served = {a: [] for a in range(3)}
+    for sta_id, a in enumerate(associate(config.ap_max_power_dbm + table.slow_gain_db[3:, :3]).tolist(), start=3):
+        served[a].append(sta_id)
+    served = {a: tuple(cell) for a, cell in served.items()}
+    k_max = {a.id: config.max_streams if a.num_antennas > 1 else 1 for a in nodes[:3]}
     sched = mac.SchedulerState(served=served, k_max=k_max)
     if config.scenario == "C":
         central = list(served[CENTRAL_AP])
         rx_mw = float(dbm_to_mw(config.ap_max_power_dbm)) * table.slow_gain[central, :3]
-        betas = dict(zip(central, mac.vulnerability(rx_mw, CENTRAL_AP, noise_sta)))
+        betas = dict(zip(central, mac.vulnerability(rx_mw, CENTRAL_AP, link.noise_sta_mw)))
         sched.elbt_set, sched.lbt_set = mac.partition_by_vulnerability(betas, config.elbt_fraction)
 
     return DropState(
@@ -255,9 +287,8 @@ def init_drop(config, seed):
         table=table,
         sched=sched,
         rng=rng,
-        noise_sta_mw=noise_sta,
-        noise_ap_mw=noise_ap,
-        rate_table=phy.RateTable(config.rate_table),
+        link=link,
+        max_power_mw=[level_mw[nd.max_power_dbm] for nd in nodes],
     )
 
 
@@ -291,10 +322,10 @@ def run_round(drop, round_index):
             for t in active:
                 links[(u, t)] = (drop.table.slow_gain[u, t], drop.table.link_h(u, t))
         for u in users:
-            sinr = phy.compute_sinr(u, ap_id, active, links, medium.powers, medium.precoders, drop.noise_sta_mw)
+            sinr = phy.compute_sinr(u, ap_id, active, links, medium.powers, medium.precoders, drop.link.noise_sta_mw)
             sinr_db = 10.0 * np.log10(sinr)
             user_sinr_db[u] = float(sinr_db)
-            user_rate[u] = phy.map_rate(sinr_db, drop.rate_table)
+            user_rate[u] = phy.map_rate(sinr_db, drop.link.rate_table)
 
     return RoundOutcome(
         attempts=attempts,

@@ -1,5 +1,6 @@
 """Floor layout, node placement, and STA-to-AP association."""
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,22 @@ def ap_corridor_x(width_m):
     return [width_m * (2 * a + 1) / 6.0 for a in range(3)]
 
 
+@functools.lru_cache(maxsize=8, typed=True)
+def _corridor_aps(width_m, depth_m, height_m, antennas, power_dbm):
+    """The three corridor AP descriptors (ids 0-2), built once per floor,
+    antenna counts and power: they are immutable and shared by every drop."""
+    return tuple(
+        NodeDescriptor(
+            id=a,
+            role=ROLE_AP,
+            position=(x, depth_m / 2.0, height_m),
+            num_antennas=int(antennas[a]),
+            max_power_dbm=power_dbm,
+        )
+        for a, x in enumerate(ap_corridor_x(width_m))
+    )
+
+
 def generate_drop(config, seed):
     """One deployment realization: 3 corridor APs plus uniformly dropped STAs.
 
@@ -37,29 +54,16 @@ def generate_drop(config, seed):
     if config.n_stas <= 0:
         raise ValueError("n_stas must be strictly positive")
     rng = np.random.default_rng(seed)
-    y_mid = config.floor_depth_m / 2.0
-    nodes = [
-        NodeDescriptor(
-            id=a,
-            role=ROLE_AP,
-            position=(x, y_mid, config.ap_height_m),
-            num_antennas=int(config.ap_antennas[a]),
-            max_power_dbm=config.ap_max_power_dbm,
+    nodes = list(
+        _corridor_aps(
+            config.floor_width_m, config.floor_depth_m, config.ap_height_m, config.ap_antennas, config.ap_max_power_dbm
         )
-        for a, x in enumerate(ap_corridor_x(config.floor_width_m))
-    ]
-    xs = rng.uniform(0.0, config.floor_width_m, config.n_stas)
-    ys = rng.uniform(0.0, config.floor_depth_m, config.n_stas)
-    for s in range(config.n_stas):
-        nodes.append(
-            NodeDescriptor(
-                id=3 + s,
-                role=ROLE_STA,
-                position=(float(xs[s]), float(ys[s]), config.sta_height_m),
-                num_antennas=1,
-                max_power_dbm=config.sta_max_power_dbm,
-            )
-        )
+    )
+    xs = rng.uniform(0.0, config.floor_width_m, config.n_stas).tolist()
+    ys = rng.uniform(0.0, config.floor_depth_m, config.n_stas).tolist()
+    z, power = config.sta_height_m, config.sta_max_power_dbm
+    # positional: keyword arguments cost a third of a descriptor's construction
+    nodes += [NodeDescriptor(3 + s, ROLE_STA, (x, y, z), 1, power) for s, (x, y) in enumerate(zip(xs, ys))]
     return nodes
 
 

@@ -5,12 +5,16 @@ import json
 import os
 import subprocess
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from .geometry import ap_corridor_x
 
 SCHEMA_VERSION = 1
+# Rows the JSON writer encodes per call: enough to amortise the call, few
+# enough that the text of one block stays small beside the results.
+_JSON_BLOCK_ROWS = 1024
 
 
 @dataclass
@@ -54,8 +58,11 @@ class ResultSet:
         return float(np.median(samples)) if samples else float("nan")
 
     def sinr_percentile_db(self, q):
-        samples = self.sinr_samples_db()
-        return float(np.percentile(samples, q)) if len(samples) else float("nan")
+        return _percentile(self.sinr_samples_db(), q)
+
+
+def _percentile(samples, q):
+    return float(np.percentile(samples, q)) if len(samples) else float("nan")
 
 
 def aggregate_cdf(samples):
@@ -82,14 +89,14 @@ def _version_string():
     return "mmimo-coex-0.1.0"
 
 
-def _summary(results):
+def _summary(results, sinr_db):
     cfg = results.config
     return {
         "ap_access_success": [results.ap_access_success(a) for a in range(3)],
         "median_dl_sum_throughput_bps": results.median_sum_throughput(),
-        "dl_sinr_p5_db": results.sinr_percentile_db(5),
-        "dl_sinr_p50_db": results.sinr_percentile_db(50),
-        "n_sinr_samples": int(len(results.sinr_samples_db())),
+        "dl_sinr_p5_db": _percentile(sinr_db, 5),
+        "dl_sinr_p50_db": _percentile(sinr_db, 50),
+        "n_sinr_samples": len(sinr_db),
         "scenario": cfg.scenario,
         "p_tr": cfg.p_tr,
     }
@@ -101,11 +108,41 @@ def _sample_rows(results):
         for ap in range(3):
             if d.ap_attempts[ap] > 0:
                 yield (cfg.scenario, cfg.p_tr, d_idx, f"access_success_ap{ap}", d.ap_grants[ap] / d.ap_attempts[ap])
-        for v in d.sinr_db:
-            yield (cfg.scenario, cfg.p_tr, d_idx, "dl_user_sinr_db", float(v))
+        for v in d.sinr_db.tolist():
+            yield (cfg.scenario, cfg.p_tr, d_idx, "dl_user_sinr_db", v)
         for sta_id in sorted(d.user_throughput_bps):
             yield (cfg.scenario, cfg.p_tr, d_idx, "dl_user_throughput_bps", d.user_throughput_bps[sta_id])
         yield (cfg.scenario, cfg.p_tr, d_idx, "dl_sum_throughput_bps", d.sum_throughput_bps)
+
+
+def _dump_json(fh, value, depth=0):
+    """Write `value` as json.dump(value, fh, indent=1) does, for a dict whose
+    values are scalars, such dicts, or iterables of non-empty rows of scalars.
+
+    Rows go through json's C encoder (it runs only when indent is None) in
+    blocks of _JSON_BLOCK_ROWS. Its item separator carries the newline and
+    indentation of a row's items; a raw newline never occurs inside an
+    encoded string, so the text "],\n<pad>[" only ever joins two rows, and it
+    is re-broken into the indented row brackets.
+    """
+    if isinstance(value, dict):
+        pad = "\n" + " " * (depth + 1)
+        for i, (key, item) in enumerate(value.items()):
+            fh.write(("{" if i == 0 else ",") + pad + json.dumps(key) + ": ")
+            _dump_json(fh, item, depth + 1)
+        fh.write("\n" + " " * depth + "}" if value else "{}")
+        return
+    if isinstance(value, (str, int, float)) or value is None:
+        fh.write(json.dumps(value))
+        return
+    row_pad, item_pad = "\n" + " " * (depth + 1), "\n" + " " * (depth + 2)
+    encode = json.JSONEncoder(separators=("," + item_pad, ": ")).encode
+    joint, broken = "]," + item_pad + "[", row_pad + "]," + row_pad + "[" + item_pad
+    rows, opener = iter(value), "["
+    for block in iter(lambda: list(islice(rows, _JSON_BLOCK_ROWS)), []):
+        fh.write(opener + row_pad + "[" + item_pad + encode(block)[2:-2].replace(joint, broken) + row_pad + "]")
+        opener = ","
+    fh.write("[]" if opener == "[" else "\n" + " " * depth + "]")
 
 
 def emit_results(results, out_dir=None, out_format=None):
@@ -124,15 +161,16 @@ def emit_results(results, out_dir=None, out_format=None):
     except OSError as exc:
         raise OSError(f"cannot create output directory {out_dir!r}: {exc}") from exc
 
+    sinr_db = results.sinr_samples_db()
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "version": _version_string(),
         "seed": cfg.seed,
         "config": cfg.to_dict(),
-        "summary": _summary(results),
+        "summary": _summary(results, sinr_db),
     }
     access_cdfs = {ap: aggregate_cdf(results.ap_access_rate_samples(ap)) for ap in range(3)}
-    sinr_cdf = aggregate_cdf(results.sinr_samples_db())
+    sinr_cdf = aggregate_cdf(sinr_db)
     tput_cdf = aggregate_cdf(results.sum_throughput_samples())
 
     paths = []
@@ -176,12 +214,12 @@ def emit_results(results, out_dir=None, out_format=None):
     else:
         payload = {
             "schema_version": SCHEMA_VERSION,
-            "samples": [list(row) for row in _sample_rows(results)],
+            "samples": _sample_rows(results),
             "access_rate_cdf": {str(ap): access_cdfs[ap] for ap in range(3)},
             "sinr_cdf": sinr_cdf,
             "throughput_cdf": tput_cdf,
         }
-        _write("results.json", lambda fh: json.dump(payload, fh, indent=1))
+        _write("results.json", lambda fh: _dump_json(fh, payload))
 
     _write("manifest.json", lambda fh: json.dump(manifest, fh, indent=1, sort_keys=True))
     return paths

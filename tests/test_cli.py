@@ -128,3 +128,15 @@ def test_sweep_validates_every_cell_before_running(tmp_path, capsys, monkeypatch
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1
     assert "scenario" in err
+
+
+@pytest.mark.parametrize("scenarios, ptrs", [("A", "1,1.0"), ("A,a", "1"), ("A", "0.1,0.1000001")])
+def test_sweep_rejects_a_repeated_cell_before_running(tmp_path, capsys, monkeypatch, scenarios, ptrs):
+    # the same (scenario, p_tr) after validation, or the same output directory
+    monkeypatch.setattr(cli, "run_simulation", lambda cfg: pytest.fail("ran a cell of a grid that repeats a cell"))
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--scenarios", scenarios, "--ptrs", ptrs, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert "sweep cells" in err
+    assert not out.exists()

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmimo_coex import engine, mac
+from mmimo_coex import engine, mac, phy
 from mmimo_coex.blas import openblas_thread_api
-from mmimo_coex.channel import received_covariance
+from mmimo_coex.channel import los_probability, path_loss_db, received_covariance, shadowing_db
 from mmimo_coex.config import ScenarioConfig
 from mmimo_coex.engine import (
     CENTRAL_AP,
@@ -17,8 +17,8 @@ from mmimo_coex.engine import (
     run_round,
     run_simulation,
 )
-from mmimo_coex.geometry import ROLE_STA
-from mmimo_coex.units import dbm_to_mw
+from mmimo_coex.geometry import ROLE_AP, ROLE_STA, NodeDescriptor, ap_corridor_x
+from mmimo_coex.units import db_to_linear, dbm_to_mw
 
 
 def small_cfg(**kw):
@@ -177,7 +177,7 @@ def test_covariance_spans_every_out_of_cell_node_at_max_power():
     powers = {t: float(dbm_to_mw(drop.nodes[t].max_power_dbm)) for t in ids}
     links = {(CENTRAL_AP, t): (drop.table.slow_gain[CENTRAL_AP, t], drop.table.link_h(CENTRAL_AP, t)) for t in ids}
     z = received_covariance(
-        drop.nodes[CENTRAL_AP], [drop.nodes[t] for t in ids], links, powers, noise_power=drop.noise_ap_mw
+        drop.nodes[CENTRAL_AP], [drop.nodes[t] for t in ids], links, powers, noise_power=drop.link.noise_ap_mw
     )
     expected = np.linalg.eigvalsh(z)[::-1]
     np.testing.assert_allclose(sub.eigenvalues, expected, rtol=1e-9, atol=1e-9 * expected[0])
@@ -397,3 +397,74 @@ def test_stream_budget_follows_antenna_count_and_every_sta_is_served_once(scenar
     assert tuple(drop.sched.k_max[a] for a in range(3)) == budgets
     served = sorted(s for users in drop.sched.served.values() for s in users)
     assert served == [s.id for s in drop.stas]
+
+
+def _reference_setup(cfg, seed):
+    """A drop's set-up as a per-node loop, an n x n x 3 distance tensor and a
+    per-AP flatnonzero association, drawing from the RNG in the same order."""
+    rng = np.random.default_rng(seed)
+    y_mid = cfg.floor_depth_m / 2.0
+    nodes = [
+        NodeDescriptor(a, ROLE_AP, (x, y_mid, cfg.ap_height_m), int(cfg.ap_antennas[a]), cfg.ap_max_power_dbm)
+        for a, x in enumerate(ap_corridor_x(cfg.floor_width_m))
+    ]
+    xs = rng.uniform(0.0, cfg.floor_width_m, cfg.n_stas)
+    ys = rng.uniform(0.0, cfg.floor_depth_m, cfg.n_stas)
+    for s in range(cfg.n_stas):
+        nodes.append(NodeDescriptor(3 + s, ROLE_STA, (float(xs[s]), float(ys[s]), cfg.sta_height_m), 1, cfg.sta_max_power_dbm))
+
+    n = len(nodes)
+    pos = np.array([nd.position for nd in nodes])
+    dist = np.sqrt(np.sum((pos[:, None, :] - pos[None, :, :]) ** 2, axis=2))
+    iu = np.triu_indices(n, 1)
+    d = dist[iu]
+    los_pairs = rng.random(len(d)) < los_probability(d)
+    shadow = shadowing_db(los_pairs, rng, len(d), cfg.shadowing_sigma_los_db, cfg.shadowing_sigma_nlos_db)
+    pl = path_loss_db(
+        d, los_pairs, cfg.carrier_ghz, (cfg.pl_los_intercept, cfg.pl_los_slope), (cfg.pl_nlos_intercept, cfg.pl_nlos_slope)
+    )
+    los = np.zeros((n, n), dtype=bool)
+    los[iu] = los_pairs
+    los |= los.T
+    slow_db = np.zeros((n, n))
+    slow_db[iu] = -(pl + shadow)
+    slow_db += slow_db.T
+    slow = db_to_linear(slow_db)
+    np.fill_diagonal(slow, 0.0)
+
+    serving = np.argmax(cfg.ap_max_power_dbm + slow_db[3:, :3], axis=1)
+    served = {a: tuple(int(s) for s in np.flatnonzero(serving == a) + 3) for a in range(3)}
+    partition = (frozenset(), frozenset())
+    if cfg.scenario == "C":
+        central = list(served[CENTRAL_AP])
+        rx_mw = float(dbm_to_mw(cfg.ap_max_power_dbm)) * slow[central, :3]
+        noise = phy.noise_power(cfg.bandwidth_hz, cfg.sta_noise_figure_db, cfg.noise_psd_dbm_hz)
+        betas = dict(zip(central, mac.vulnerability(rx_mw, CENTRAL_AP, noise)))
+        partition = mac.partition_by_vulnerability(betas, cfg.elbt_fraction)
+    return nodes, los, slow_db, slow, served, partition
+
+
+@pytest.mark.parametrize("scenario", "ABC")
+@pytest.mark.parametrize("overrides", [{}, dict(n_stas=7, floor_width_m=40.0, ap_max_power_dbm=20.0)], ids=["default", "small"])
+def test_drop_setup_matches_per_node_reference(scenario, overrides):
+    cfg = ScenarioConfig(scenario=scenario, **overrides)
+    # About one drop in 40 has a slow gain that the order of the sum of squares
+    # in a distance changes, so 64 drops per case check that order too.
+    for seq in np.random.SeedSequence(17).spawn(64):
+        drop = init_drop(cfg, seq)
+        nodes, los, slow_db, slow, served, partition = _reference_setup(cfg, seq)
+        assert drop.nodes == nodes
+        assert np.array_equal(drop.table.los, los)
+        assert np.array_equal(drop.table.slow_gain_db, slow_db)
+        assert np.array_equal(drop.table.slow_gain, slow)
+        assert drop.sched.served == served
+        assert (drop.sched.elbt_set, drop.sched.lbt_set) == partition
+        # the per-drop constants are the per-use conversions they replace
+        assert drop.max_power_mw == [float(dbm_to_mw(nd.max_power_dbm)) for nd in nodes]
+        assert drop.link.noise_sta_mw == phy.noise_power(cfg.bandwidth_hz, cfg.sta_noise_figure_db, cfg.noise_psd_dbm_hz)
+        assert drop.link.noise_ap_mw == phy.noise_power(cfg.bandwidth_hz, cfg.ap_noise_figure_db, cfg.noise_psd_dbm_hz)
+        assert drop.link.rate_table == phy.RateTable(cfg.rate_table)
+        medium = RoundMedium(drop, mac.draw_traffic(drop.stas, cfg.p_tr, drop.rng), None)
+        assert medium.gamma_lbt == float(dbm_to_mw(cfg.gamma_lbt_dbm))
+        assert medium.gamma_preamble == float(dbm_to_mw(cfg.gamma_preamble_dbm))
+        assert medium.preamble_min_sinr == float(db_to_linear(cfg.preamble_min_sinr_db))

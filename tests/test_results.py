@@ -9,7 +9,7 @@ import pytest
 
 from mmimo_coex.config import ScenarioConfig
 from mmimo_coex.engine import run_simulation
-from mmimo_coex.results import aggregate_cdf, emit_results
+from mmimo_coex.results import DropResult, ResultSet, aggregate_cdf, emit_results
 
 
 def test_cdf_singleton():
@@ -91,11 +91,70 @@ def test_emit_byte_identical_across_runs(tmp_path):
     cfg = dict(scenario="B", p_tr=1.0, n_drops=4, n_rounds=8, seed=7)
     first = run_simulation(ScenarioConfig(**cfg))
     second = run_simulation(ScenarioConfig(**cfg))
-    dir_a, dir_b = str(tmp_path / "a"), str(tmp_path / "b")
-    emit_results(first, out_dir=dir_a)
-    emit_results(second, out_dir=dir_b)
-    for name in ("samples.csv", "access_rate.csv", "sinr_cdf.csv", "throughput_cdf.csv"):
-        assert filecmp.cmp(os.path.join(dir_a, name), os.path.join(dir_b, name), shallow=False)
+    for out_format, names in (
+        ("csv", ("samples.csv", "access_rate.csv", "sinr_cdf.csv", "throughput_cdf.csv")),
+        ("json", ("results.json",)),
+    ):
+        dir_a, dir_b = str(tmp_path / out_format / "a"), str(tmp_path / out_format / "b")
+        emit_results(first, out_dir=dir_a, out_format=out_format)
+        emit_results(second, out_dir=dir_b, out_format=out_format)
+        for name in names:
+            assert filecmp.cmp(os.path.join(dir_a, name), os.path.join(dir_b, name), shallow=False)
+
+
+def _reference_payload(results):
+    """The results.json payload, row by row, as json.dump(payload, fh, indent=1) takes it."""
+    cfg = results.config
+    samples = []
+    for d_idx, d in enumerate(results.drops):
+        head = [cfg.scenario, cfg.p_tr, d_idx]
+        for ap in range(3):
+            if d.ap_attempts[ap] > 0:
+                samples.append(head + [f"access_success_ap{ap}", d.ap_grants[ap] / d.ap_attempts[ap]])
+        samples += [head + ["dl_user_sinr_db", float(v)] for v in d.sinr_db]
+        samples += [head + ["dl_user_throughput_bps", d.user_throughput_bps[s]] for s in sorted(d.user_throughput_bps)]
+        samples.append(head + ["dl_sum_throughput_bps", d.sum_throughput_bps])
+    return {
+        "schema_version": 1,
+        "samples": samples,
+        "access_rate_cdf": {str(ap): aggregate_cdf(results.ap_access_rate_samples(ap)) for ap in range(3)},
+        "sinr_cdf": aggregate_cdf(results.sinr_samples_db()),
+        "throughput_cdf": aggregate_cdf(results.sum_throughput_samples()),
+    }
+
+
+def _injected_results():
+    """Two hand-made drops whose samples hold -inf and nan, beside a drop without attempts."""
+    drops = [
+        DropResult((2, 0, 1), (1, 0, 1), np.array([3.5, -np.inf, np.nan, -0.0]), {3: 1e6, 4: 0.0}, 1e6),
+        DropResult((0, 0, 0), (0, 0, 0), np.array([]), {3: 0.0}, 0.0),
+        DropResult((1, 1, 1), (1, 1, 0), np.array([np.nan, 12.25]), {5: 2.5e7, 3: np.nan}, np.nan),
+    ]
+    return ResultSet(config=ScenarioConfig(scenario="C", p_tr=0.5), drops=drops)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # percentiles of -inf and nan
+@pytest.mark.parametrize("case", ["desk", "zero_drops", "no_traffic", "injected"])
+def test_emit_json_equals_json_dump(case, sim_cache, tmp_path):
+    if case == "desk":
+        results = sim_cache("A", 1.0)[0]
+    elif case == "zero_drops":
+        results = run_simulation(ScenarioConfig(scenario="B", n_drops=0, seed=2))
+    elif case == "no_traffic":
+        results = run_simulation(ScenarioConfig(scenario="C", p_tr=0.0, n_drops=3, n_rounds=4, seed=2))
+        assert results.sinr_samples_db().size == 0
+    else:
+        results = _injected_results()
+    emit_results(results, out_dir=str(tmp_path), out_format="json")
+    with open(tmp_path / "reference.json", "w") as fh:
+        json.dump(_reference_payload(results), fh, indent=1)
+    assert (tmp_path / "results.json").read_bytes() == (tmp_path / "reference.json").read_bytes()
+
+    summary = json.loads((tmp_path / "manifest.json").read_text())["summary"]
+    sinr = results.sinr_samples_db()
+    expected = [results.sinr_percentile_db(5), results.sinr_percentile_db(50), len(sinr)]
+    got = [summary["dl_sinr_p5_db"], summary["dl_sinr_p50_db"], summary["n_sinr_samples"]]
+    assert json.dumps(got) == json.dumps(expected)  # NaN (no samples) compares equal as text
 
 
 def test_emit_survives_a_hung_git(tiny_results, tmp_path, monkeypatch):
