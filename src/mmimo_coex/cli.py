@@ -1,7 +1,6 @@
 """Command line front end: run one configuration, sweep a grid, or validate a config file."""
 
 import argparse
-import csv
 import os
 import sys
 import tempfile
@@ -9,7 +8,7 @@ import tempfile
 from .config import ScenarioConfig, load_config
 from .engine import run_simulation
 from .errors import ConfigError
-from .results import emit_results
+from .results import emit_results, summary, write_csv
 
 
 def _base_config(args):
@@ -31,13 +30,12 @@ def _base_config(args):
     return cfg.replace(**overrides) if overrides else cfg
 
 
-def _print_summary(results):
-    cfg = results.config
+def _print_summary(cfg, summary):
     print(f"scenario {cfg.scenario}  p_tr={cfg.p_tr}  drops={cfg.n_drops}  rounds={cfg.n_rounds}  seed={cfg.seed}")
-    for ap in range(3):
-        print(f"  AP{ap} access success: {results.ap_access_success(ap):.3f}")
-    print(f"  median DL sum user throughput: {results.median_sum_throughput() / 1e6:.2f} Mb/s")
-    print(f"  DL user SINR p5/p50: {results.sinr_percentile_db(5):.2f} / {results.sinr_percentile_db(50):.2f} dB")
+    for ap, success in enumerate(summary["ap_access_success"]):
+        print(f"  AP{ap} access success: {success:.3f}")
+    print(f"  median DL sum user throughput: {summary['median_dl_sum_throughput_bps'] / 1e6:.2f} Mb/s")
+    print(f"  DL user SINR p5/p50: {summary['dl_sinr_p5_db']:.2f} / {summary['dl_sinr_p50_db']:.2f} dB")
 
 
 def _writable_dir(path):
@@ -54,7 +52,7 @@ def cmd_run(args):
     _writable_dir(cfg.out_dir)
     results = run_simulation(cfg)
     paths = emit_results(results)
-    _print_summary(results)
+    _print_summary(cfg, summary(results))
     for p in paths:
         print(f"  wrote {p}")
     return 0
@@ -79,26 +77,20 @@ def cmd_sweep(args):
                 if key in seen:
                     raise ConfigError(f"sweep cells {seen[key]} and {cell} share a run or the directory {name}")
                 seen[key] = cell
-            grid.append((scenario, p_tr, cfg))
+            grid.append(cfg)
     _writable_dir(base.out_dir)
     rows = []
-    for scenario, p_tr, cfg in grid:
+    for cfg in grid:
         results = run_simulation(cfg)
         emit_results(results)
-        _print_summary(results)
+        numbers = summary(results)
+        _print_summary(cfg, numbers)
         rows.append(
-            [scenario, p_tr]
-            + [results.ap_access_success(ap) for ap in range(3)]
-            + [results.median_sum_throughput(), results.sinr_percentile_db(5)]
+            [numbers["scenario"], numbers["p_tr"], *numbers["ap_access_success"]]
+            + [numbers["median_dl_sum_throughput_bps"], numbers["dl_sinr_p5_db"]]
         )
-    summary_path = os.path.join(base.out_dir, "sweep_summary.csv")
-    with open(summary_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            ["scenario", "p_tr", "access_ap0", "access_ap1", "access_ap2", "median_sum_throughput_bps", "sinr_p5_db"]
-        )
-        w.writerows(rows)
-    print(f"  wrote {summary_path}")
+    header = ["scenario", "p_tr", "access_ap0", "access_ap1", "access_ap2", "median_sum_throughput_bps", "sinr_p5_db"]
+    print(f"  wrote {write_csv(os.path.join(base.out_dir, 'sweep_summary.csv'), header, rows)}")
     return 0
 
 

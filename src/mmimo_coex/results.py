@@ -3,12 +3,12 @@
 import csv
 import json
 import os
-import subprocess
 from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
 
+from . import __version__
 from .geometry import ap_corridor_x
 
 SCHEMA_VERSION = 1
@@ -19,7 +19,9 @@ _JSON_BLOCK_ROWS = 1024
 
 @dataclass
 class DropResult:
-    ap_attempts: tuple  # per AP, rounds with DL traffic queued
+    # per AP, CCA attempts; an AP with DL traffic makes none while withdrawn for
+    # half duplex, nor (nulling AP) when the round's partition leaves it no candidate
+    ap_attempts: tuple
     ap_grants: tuple  # per AP, rounds with channel access gained
     sinr_db: np.ndarray  # pooled per-user per-round DL SINR samples
     user_throughput_bps: dict  # sta_id -> average DL throughput
@@ -72,25 +74,11 @@ def aggregate_cdf(samples):
     return [(v, (i + 1) / n) for i, v in enumerate(values)]
 
 
-def _version_string():
-    here = os.path.dirname(os.path.abspath(__file__))
-    try:
-        described = subprocess.run(
-            ["git", "describe", "--always", "--dirty"],
-            cwd=here,
-            capture_output=True,
-            text=True,
-            timeout=5,
-        )
-        if described.returncode == 0:
-            return f"mmimo-coex-0.1.0+g{described.stdout.strip()}"
-    except (OSError, subprocess.SubprocessError):  # no git, or it hung
-        pass
-    return "mmimo-coex-0.1.0"
-
-
-def _summary(results, sinr_db):
+def summary(results):
+    """The run's headline numbers: what manifest.json stores, `sim run` prints
+    and each row of `sim sweep`'s sweep_summary.csv holds."""
     cfg = results.config
+    sinr_db = results.sinr_samples_db()
     return {
         "ap_access_success": [results.ap_access_success(a) for a in range(3)],
         "median_dl_sum_throughput_bps": results.median_sum_throughput(),
@@ -145,6 +133,27 @@ def _dump_json(fh, value, depth=0):
     fh.write("[]" if opener == "[" else "\n" + " " * depth + "]")
 
 
+def _write(path, write):
+    """Open `path` for writing, hand the file to `write`, and return the path."""
+    try:
+        with open(path, "w", newline="") as fh:
+            write(fh)
+    except OSError as exc:
+        raise OSError(f"cannot write results file {path!r}: {exc}") from exc
+    return path
+
+
+def write_csv(path, header, rows):
+    """Write one CSV table, the header row first; returns the path."""
+
+    def write(fh):
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+    return _write(path, write)
+
+
 def emit_results(results, out_dir=None, out_format=None):
     """Write raw samples, per-metric CDF tables, and the run manifest.
 
@@ -161,65 +170,37 @@ def emit_results(results, out_dir=None, out_format=None):
     except OSError as exc:
         raise OSError(f"cannot create output directory {out_dir!r}: {exc}") from exc
 
-    sinr_db = results.sinr_samples_db()
     manifest = {
         "schema_version": SCHEMA_VERSION,
-        "version": _version_string(),
+        "version": f"mmimo-coex-{__version__}",
         "seed": cfg.seed,
         "config": cfg.to_dict(),
-        "summary": _summary(results, sinr_db),
+        "summary": summary(results),
     }
-    access_cdfs = {ap: aggregate_cdf(results.ap_access_rate_samples(ap)) for ap in range(3)}
-    sinr_cdf = aggregate_cdf(sinr_db)
+    access_cdfs = [aggregate_cdf(results.ap_access_rate_samples(ap)) for ap in range(3)]
+    sinr_cdf = aggregate_cdf(results.sinr_samples_db())
     tput_cdf = aggregate_cdf(results.sum_throughput_samples())
 
-    paths = []
-
-    def _write(name, writer):
-        path = os.path.join(out_dir, name)
-        try:
-            with open(path, "w", newline="") as fh:
-                writer(fh)
-        except OSError as exc:
-            raise OSError(f"cannot write results file {path!r}: {exc}") from exc
-        paths.append(path)
-
     if out_format == "csv":
-        def _samples(fh):
-            w = csv.writer(fh)
-            w.writerow(["scenario", "p_tr", "drop", "metric", "value"])
-            w.writerows(_sample_rows(results))
-
-        def _access(fh):
-            w = csv.writer(fh)
-            w.writerow(["ap_index", "ap_x_m", "value", "prob"])
-            for ap, x in enumerate(ap_corridor_x(cfg.floor_width_m)):
-                for value, prob in access_cdfs[ap]:
-                    w.writerow([ap, x, value, prob])
-
-        def _sinr(fh):
-            w = csv.writer(fh)
-            w.writerow(["value_db", "prob"])
-            w.writerows(sinr_cdf)
-
-        def _tput(fh):
-            w = csv.writer(fh)
-            w.writerow(["value_bps", "prob"])
-            w.writerows(tput_cdf)
-
-        _write("samples.csv", _samples)
-        _write("access_rate.csv", _access)
-        _write("sinr_cdf.csv", _sinr)
-        _write("throughput_cdf.csv", _tput)
+        ap_x = ap_corridor_x(cfg.floor_width_m)
+        access_rows = [(ap, ap_x[ap], value, prob) for ap, cdf in enumerate(access_cdfs) for value, prob in cdf]
+        tables = (
+            ("samples.csv", ["scenario", "p_tr", "drop", "metric", "value"], _sample_rows(results)),
+            ("access_rate.csv", ["ap_index", "ap_x_m", "value", "prob"], access_rows),
+            ("sinr_cdf.csv", ["value_db", "prob"], sinr_cdf),
+            ("throughput_cdf.csv", ["value_bps", "prob"], tput_cdf),
+        )
+        paths = [write_csv(os.path.join(out_dir, name), header, rows) for name, header, rows in tables]
     else:
         payload = {
             "schema_version": SCHEMA_VERSION,
             "samples": _sample_rows(results),
-            "access_rate_cdf": {str(ap): access_cdfs[ap] for ap in range(3)},
+            "access_rate_cdf": {str(ap): cdf for ap, cdf in enumerate(access_cdfs)},
             "sinr_cdf": sinr_cdf,
             "throughput_cdf": tput_cdf,
         }
-        _write("results.json", lambda fh: _dump_json(fh, payload))
+        paths = [_write(os.path.join(out_dir, "results.json"), lambda fh: _dump_json(fh, payload))]
 
-    _write("manifest.json", lambda fh: json.dump(manifest, fh, indent=1, sort_keys=True))
+    manifest_path = os.path.join(out_dir, "manifest.json")
+    paths.append(_write(manifest_path, lambda fh: json.dump(manifest, fh, indent=1, sort_keys=True)))
     return paths

@@ -1,5 +1,7 @@
+import csv
 import json
 import os
+import re
 
 import pytest
 
@@ -140,3 +142,34 @@ def test_sweep_rejects_a_repeated_cell_before_running(tmp_path, capsys, monkeypa
     assert len(err.splitlines()) == 1
     assert "sweep cells" in err
     assert not out.exists()
+
+
+def _summary_row(summary):
+    """A sweep_summary.csv row, as text, from one manifest summary."""
+    numbers = [summary["scenario"], summary["p_tr"], *summary["ap_access_success"]]
+    return [str(v) for v in numbers + [summary["median_dl_sum_throughput_bps"], summary["dl_sinr_p5_db"]]]
+
+
+def test_run_prints_its_manifest_summary(tmp_path, capsys):
+    out = tmp_path / "run"
+    args = ["--drops", "3", "--rounds", "5", "--seed", "2", "--out", str(out)]
+    assert main(["run", "--scenario", "C", "--ptr", "1.0", *args]) == 0
+    stdout = capsys.readouterr().out
+    summary = json.loads((out / "manifest.json").read_text())["summary"]
+    printed = re.findall(r"AP(\d) access success: (\S+)", stdout)
+    assert printed == [(str(ap), f"{v:.3f}") for ap, v in enumerate(summary["ap_access_success"])]
+    assert f"median DL sum user throughput: {summary['median_dl_sum_throughput_bps'] / 1e6:.2f} Mb/s" in stdout
+    assert f"DL user SINR p5/p50: {summary['dl_sinr_p5_db']:.2f} / {summary['dl_sinr_p50_db']:.2f} dB" in stdout
+
+
+def test_sweep_summary_rows_are_the_cell_manifests(tmp_path):
+    out = tmp_path / "sweep"
+    args = ["--drops", "2", "--rounds", "3", "--seed", "5", "--out", str(out)]
+    assert main(["sweep", "--scenarios", "a,C", "--ptrs", "0.1,1.0", *args]) == 0
+    with open(out / "sweep_summary.csv", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == ["scenario", "p_tr", "access_ap0", "access_ap1", "access_ap2", "median_sum_throughput_bps", "sinr_p5_db"]
+    cells = ["a_ptr0.1", "a_ptr1", "C_ptr0.1", "C_ptr1"]
+    summaries = [json.loads((out / cell / "manifest.json").read_text())["summary"] for cell in cells]
+    assert rows == [_summary_row(s) for s in summaries]
+    assert [row[0] for row in rows] == ["A", "A", "C", "C"]  # the canonical letter, not the spelling given

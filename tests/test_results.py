@@ -2,13 +2,17 @@ import csv
 import filecmp
 import json
 import os
+import pathlib
+import re
 import subprocess
 
 import numpy as np
 import pytest
 
+import mmimo_coex
 from mmimo_coex.config import ScenarioConfig
 from mmimo_coex.engine import run_simulation
+from mmimo_coex.geometry import ap_corridor_x
 from mmimo_coex.results import DropResult, ResultSet, aggregate_cdf, emit_results
 
 
@@ -123,6 +127,19 @@ def _reference_payload(results):
     }
 
 
+def _reference_tables(results):
+    """The four CSV tables, header first, row by row, from the same reference rows."""
+    payload = _reference_payload(results)
+    ap_x = ap_corridor_x(results.config.floor_width_m)
+    access = [[ap, ap_x[ap], value, prob] for ap in range(3) for value, prob in payload["access_rate_cdf"][str(ap)]]
+    return {
+        "samples.csv": [["scenario", "p_tr", "drop", "metric", "value"]] + payload["samples"],
+        "access_rate.csv": [["ap_index", "ap_x_m", "value", "prob"]] + access,
+        "sinr_cdf.csv": [["value_db", "prob"]] + payload["sinr_cdf"],
+        "throughput_cdf.csv": [["value_bps", "prob"]] + payload["throughput_cdf"],
+    }
+
+
 def _injected_results():
     """Two hand-made drops whose samples hold -inf and nan, beside a drop without attempts."""
     drops = [
@@ -150,6 +167,15 @@ def test_emit_json_equals_json_dump(case, sim_cache, tmp_path):
         json.dump(_reference_payload(results), fh, indent=1)
     assert (tmp_path / "results.json").read_bytes() == (tmp_path / "reference.json").read_bytes()
 
+    # the same results as CSV: each table equals a csv.writer reference written row by row
+    emit_results(results, out_dir=str(tmp_path / "csv"), out_format="csv")
+    for name, rows in _reference_tables(results).items():
+        with open(tmp_path / f"reference_{name}", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            for row in rows:
+                writer.writerow(row)
+        assert (tmp_path / "csv" / name).read_bytes() == (tmp_path / f"reference_{name}").read_bytes(), name
+
     summary = json.loads((tmp_path / "manifest.json").read_text())["summary"]
     sinr = results.sinr_samples_db()
     expected = [results.sinr_percentile_db(5), results.sinr_percentile_db(50), len(sinr)]
@@ -157,12 +183,19 @@ def test_emit_json_equals_json_dump(case, sim_cache, tmp_path):
     assert json.dumps(got) == json.dumps(expected)  # NaN (no samples) compares equal as text
 
 
-def test_emit_survives_a_hung_git(tiny_results, tmp_path, monkeypatch):
-    def hung(cmd, **kwargs):
-        raise subprocess.TimeoutExpired(cmd, kwargs.get("timeout"))
+def test_emit_starts_no_process_and_writes_the_package_version(tiny_results, tmp_path, monkeypatch):
+    def no_process(*args, **kwargs):
+        raise AssertionError(f"emit_results started a process: {args}")
 
-    monkeypatch.setattr(subprocess, "run", hung)
-    out = tmp_path / "run"
-    emit_results(tiny_results, out_dir=str(out))
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["version"] == "mmimo-coex-0.1.0"
+    monkeypatch.setattr(subprocess, "Popen", no_process)
+    for out_format in ("csv", "json"):
+        out = tmp_path / out_format
+        emit_results(tiny_results, out_dir=str(out), out_format=out_format)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["version"] == "mmimo-coex-" + mmimo_coex.__version__
+
+
+def test_package_version_matches_pyproject():
+    text = (pathlib.Path(__file__).parents[1] / "pyproject.toml").read_text()
+    project = re.search(r"^\[project\]$(.*?)(?=^\[|\Z)", text, re.M | re.S).group(1)
+    assert re.search(r'^version\s*=\s*"([^"]+)"$', project, re.M).group(1) == mmimo_coex.__version__
