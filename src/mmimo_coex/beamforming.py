@@ -1,6 +1,7 @@
 """Linear precoding and subspace tools: matched filter, zero forcing,
-zero forcing with radiation-null constraints, dominant-subspace extraction,
-and residual power after projecting out the dominant directions."""
+zero forcing with radiation-null constraints, dominant-subspace extraction
+(from a covariance or from the directions themselves), and residual power
+after projecting out the dominant directions."""
 
 from dataclasses import dataclass
 
@@ -22,19 +23,22 @@ class PrecoderSet:
 
 @dataclass
 class CovarianceSubspace:
-    """Eigen-decomposed received covariance split at the n_dominant-th direction."""
+    """One unitary basis of the receive space, split after its n_dominant-th
+    column into the dominant directions (the nulls) and their orthogonal
+    complement. The basis comes from `span_subspace` (a QR of the directions
+    themselves) or from `dominant_subspace` (the eigenvectors of a
+    covariance, strongest first)."""
 
-    eigenvalues: np.ndarray  # sorted non-increasing
-    eigenvectors: np.ndarray  # unitary, columns aligned with eigenvalues
+    basis: np.ndarray  # (M, M) unitary
     n_dominant: int
 
     @property
     def dominant(self):
-        return self.eigenvectors[:, : self.n_dominant]
+        return self.basis[:, : self.n_dominant]
 
     @property
     def complement(self):
-        return self.eigenvectors[:, self.n_dominant :]
+        return self.basis[:, self.n_dominant :]
 
 
 def matched_filter(h, user=None):
@@ -105,7 +109,8 @@ def zf_with_nulls(h_users, u_null, user_map=()):
 
 
 def dominant_subspace(z, n_dominant):
-    """Eigen-decompose a Hermitian covariance, eigenvalues sorted descending."""
+    """The n_dominant strongest directions of a Hermitian covariance: its
+    eigenvectors, sorted by descending eigenvalue."""
     z = np.asarray(z)
     m = z.shape[0]
     if z.shape != (m, m):
@@ -115,13 +120,15 @@ def dominant_subspace(z, n_dominant):
         raise ValueError("covariance must be Hermitian")
     if not 0 <= n_dominant <= m:
         raise ValueError("n_dominant must lie in [0, M]")
-    eigenvalues, eigenvectors = np.linalg.eigh((z + z.conj().T) / 2.0)
-    order = np.arange(m - 1, -1, -1)
-    return CovarianceSubspace(
-        eigenvalues=eigenvalues[order],
-        eigenvectors=eigenvectors[:, order],
-        n_dominant=int(n_dominant),
-    )
+    _, eigenvectors = np.linalg.eigh((z + z.conj().T) / 2.0)
+    return CovarianceSubspace(basis=eigenvectors[:, np.arange(m - 1, -1, -1)], n_dominant=int(n_dominant))
+
+
+def span_subspace(vectors):
+    """The span of the columns of an (M, r) matrix, r <= M, and its complement,
+    from one complete QR: Q[:, :r] spans the columns and Q[:, r:] the rest."""
+    q, _ = np.linalg.qr(vectors, mode="complete")
+    return CovarianceSubspace(basis=q, n_dominant=vectors.shape[1])
 
 
 def residual_power(sub, z_vec):

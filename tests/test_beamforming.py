@@ -4,10 +4,10 @@ import pytest
 from conftest import crandn
 
 from mmimo_coex.beamforming import (
-    CovarianceSubspace,
     dominant_subspace,
     matched_filter,
     residual_power,
+    span_subspace,
     zf_precoder,
     zf_with_nulls,
 )
@@ -181,7 +181,8 @@ def test_dominant_subspace_diagonal():
     assert np.allclose(np.abs(sub.dominant[:, 0]), [1, 0, 0])
     span = sub.complement @ sub.complement.conj().T
     assert np.allclose(span, np.diag([0.0, 1.0, 1.0]), atol=1e-12)
-    assert list(sub.eigenvalues) == [5.0, 2.0, 1.0]
+    z = np.diag([5.0, 2.0, 1.0])
+    assert np.allclose(sub.basis.conj().T @ z @ sub.basis, np.diag([5.0, 2.0, 1.0]), atol=1e-12)
 
 
 def test_dominant_subspace_extremes():
@@ -202,15 +203,30 @@ def test_dominant_subspace_reconstruction():
     a = crandn(rng, 12, 12)
     z = a @ a.conj().T
     sub = dominant_subspace(z, 4)
-    rebuilt = sub.eigenvectors @ np.diag(sub.eigenvalues) @ sub.eigenvectors.conj().T
+    # the basis diagonalizes z, eigenvalues in descending order
+    d = sub.basis.conj().T @ z @ sub.basis
+    eigenvalues = np.linalg.eigvalsh(z)[::-1]
+    assert np.linalg.norm(d - np.diag(eigenvalues)) / np.linalg.norm(z) < 1e-12
+    rebuilt = sub.basis @ np.diag(eigenvalues) @ sub.basis.conj().T
     assert np.linalg.norm(rebuilt - z) / np.linalg.norm(z) < 1e-8
-    assert np.all(np.diff(sub.eigenvalues) <= 1e-12)
 
 
 def test_dominant_subspace_rejects_non_hermitian():
     z = np.array([[1.0, 2.0], [0.0, 1.0]], dtype=complex)
     with pytest.raises(ValueError):
         dominant_subspace(z, 1)
+
+
+@pytest.mark.parametrize("r", [0, 1, 5, 12])
+def test_span_subspace_splits_a_unitary_basis_at_the_span(r):
+    rng = np.random.default_rng(16 + r)
+    vectors = crandn(rng, 12, r)
+    sub = span_subspace(vectors)
+    assert sub.dominant.shape == (12, r) and sub.complement.shape == (12, 12 - r)
+    assert np.allclose(sub.basis.conj().T @ sub.basis, np.eye(12), atol=1e-12)
+    # every column lies in the dominant block: nothing is left in the complement
+    for v in vectors.T:
+        assert residual_power(sub, v) <= 1e-24 * np.linalg.norm(v) ** 2
 
 
 # ---- residual power ------------------------------------------------------------
@@ -237,7 +253,7 @@ def test_residual_power_unit_complement_vector():
     rng = np.random.default_rng(14)
     a = crandn(rng, 8, 8)
     sub = dominant_subspace(a @ a.conj().T, 3)
-    assert residual_power(sub, sub.eigenvectors[:, 3]) == pytest.approx(1.0, abs=1e-10)
+    assert residual_power(sub, sub.basis[:, 3]) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_residual_power_monotone_in_nulls():

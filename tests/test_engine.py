@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmimo_coex import engine, mac, phy
+from mmimo_coex import beamforming, engine, mac, phy
 from mmimo_coex.blas import openblas_thread_api
 from mmimo_coex.channel import los_probability, path_loss_db, received_covariance, shadowing_db
 from mmimo_coex.config import ScenarioConfig
@@ -161,16 +161,15 @@ def test_elbt_without_nulls_equals_lbt_sensing():
         assert s_r == pytest.approx(s_f, rel=1e-9)
 
 
-def test_covariance_spans_every_out_of_cell_node_at_max_power():
-    cfg = ScenarioConfig(scenario="C", p_tr=1.0, n_drops=1, n_rounds=1, seed=13)
-    drop = init_drop(cfg, np.random.SeedSequence(21))
+def _elbt_subspace(seed, **overrides):
+    """A scenario C drop's eLBT subspace for the central AP, the ids of the
+    nodes outside its cell in the engine's order, their array rows and the
+    reference covariance of those nodes, each at its maximum power."""
+    cfg = ScenarioConfig(scenario="C", p_tr=1.0, n_drops=1, n_rounds=1, seed=13, **overrides)
+    drop = init_drop(cfg, np.random.SeedSequence(seed))
     drop.table.resample(drop.rng)
-    traffic = mac.draw_traffic(drop.stas, 1.0, drop.rng)
-    medium = RoundMedium(drop, traffic, mac.MODE_ELBT)
+    medium = RoundMedium(drop, mac.draw_traffic(drop.stas, 1.0, drop.rng), mac.MODE_ELBT)
     sub = medium._covariance_subspace(CENTRAL_AP)
-
-    # reference: eigvalsh of the covariance of every node outside the central
-    # cell, whether or not it transmits this round, each at its maximum power
     own_cell = set(drop.sched.served[CENTRAL_AP])
     ids = [nd.id for nd in drop.nodes if nd.id != CENTRAL_AP and nd.id not in own_cell]
     assert 0 < len(ids) < len(drop.nodes) - 1
@@ -179,10 +178,72 @@ def test_covariance_spans_every_out_of_cell_node_at_max_power():
     z = received_covariance(
         drop.nodes[CENTRAL_AP], [drop.nodes[t] for t in ids], links, powers, noise_power=drop.link.noise_ap_mw
     )
-    expected = np.linalg.eigvalsh(z)[::-1]
-    np.testing.assert_allclose(sub.eigenvalues, expected, rtol=1e-9, atol=1e-9 * expected[0])
-    assert sub.n_dominant == cfg.n_nulls
-    assert sub.dominant.shape == (cfg.mmimo_antennas, cfg.n_nulls)
+    return cfg, sub, ids, drop.table.array_rows(ids), z
+
+
+def _worst_relative_residual(sub, rows):
+    """max over the rows v_t of ||v_t after projecting out the nulls||^2 / ||v_t||^2."""
+    return max(beamforming.residual_power(sub, v) / np.vdot(v, v).real for v in rows)
+
+
+def _top_projector(z, n):
+    top = np.linalg.eigh(z)[1][:, -n:]
+    return top @ top.conj().T
+
+
+def test_nulls_are_the_span_of_every_out_of_cell_node():
+    # r <= n_nulls nodes outside the cell: each adds one direction v_t to the
+    # noise floor, so the nulls are span{v_t}, the top r eigenvectors of the
+    # covariance of those nodes at their maximum power
+    checked = 0
+    for seed in range(40):
+        cfg, sub, ids, rows, z = _elbt_subspace(seed)
+        if len(ids) > cfg.n_nulls:
+            continue
+        checked += 1
+        assert sub.dominant.shape == (cfg.mmimo_antennas, len(ids))
+        np.testing.assert_allclose(sub.basis.conj().T @ sub.basis, np.eye(cfg.mmimo_antennas), atol=1e-12)
+        assert _worst_relative_residual(sub, rows) <= 1e-12
+        u = sub.dominant
+        np.testing.assert_allclose(u @ u.conj().T, _top_projector(z, len(ids)), rtol=0, atol=1e-10)
+        # the span of conj(v_t) is another subspace: the residual check fails on it
+        assert _worst_relative_residual(beamforming.span_subspace(rows.conj().T), rows) > 0.1
+    assert checked >= 25
+
+
+def test_surplus_nodes_take_the_strongest_covariance_directions():
+    # r > n_nulls: the nulls are the n_nulls strongest eigenvectors of the covariance
+    for seed in range(5):
+        cfg, sub, ids, _, z = _elbt_subspace(seed, n_nulls=8)
+        assert len(ids) > cfg.n_nulls
+        assert sub.dominant.shape == (cfg.mmimo_antennas, cfg.n_nulls)
+        u = sub.dominant
+        scale = np.linalg.norm(z)
+        np.testing.assert_allclose(u @ u.conj().T, _top_projector(z, cfg.n_nulls), rtol=0, atol=1e-10)
+        # the whole basis diagonalizes the covariance, strongest direction first
+        d = sub.basis.conj().T @ z @ sub.basis
+        np.testing.assert_allclose(d, np.diag(np.linalg.eigvalsh(z)[::-1]), rtol=0, atol=1e-12 * scale)
+
+
+def test_scenario_c_decomposes_only_covariances_beyond_n_nulls(monkeypatch):
+    cfg = ScenarioConfig(scenario="C", p_tr=1.0, n_drops=20, n_rounds=20, seed=1)
+    covariance_nodes, eigh_calls, span_calls = [], [], []
+
+    def spy(record, real):
+        def wrapped(*args, **kwargs):
+            record.append(args)
+            return real(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(engine, "received_covariance", spy(covariance_nodes, engine.received_covariance))
+    monkeypatch.setattr(beamforming, "dominant_subspace", spy(eigh_calls, beamforming.dominant_subspace))
+    monkeypatch.setattr(beamforming, "span_subspace", spy(span_calls, beamforming.span_subspace))
+    run_simulation(cfg)
+    assert all(len(args[1]) > cfg.n_nulls for args in covariance_nodes)
+    assert len(eigh_calls) == len(covariance_nodes) > 0
+    assert all(args[0].shape[1] <= cfg.n_nulls for args in span_calls)
+    assert len(span_calls) > 2 * len(eigh_calls)
 
 
 def test_drops_run_on_one_blas_thread(monkeypatch):
@@ -355,6 +416,12 @@ def test_round_outcomes_keep_engine_invariants(scenario, p_tr, ul_fraction, n_st
             streams = medium.precoders[ap_id].W.shape[1]
             assert streams == len(users)
             assert streams + medium.null_counts[ap_id] <= drop.nodes[ap_id].num_antennas
+            if medium.access_mode(ap_id) == mac.MODE_ELBT:
+                # one null per node outside the cell, up to n_nulls
+                r = len(drop.nodes) - 1 - len(drop.sched.served[ap_id])
+                assert medium.null_counts[ap_id] == min(cfg.n_nulls, r)
+            else:
+                assert medium.null_counts[ap_id] == 0
         assert set(out.user_sinr_db) == {u for users in out.scheduled.values() for u in users}
         assert all(np.isfinite(v) for v in out.user_sinr_db.values())
         return out
