@@ -1,7 +1,6 @@
 """Linear precoding and subspace tools: matched filter, zero forcing,
-zero forcing with radiation-null constraints, dominant-subspace extraction
-(from a covariance or from the directions themselves), and residual power
-after projecting out the dominant directions."""
+zero forcing with radiation-null constraints, dominant-subspace extraction,
+and residual power after projecting out the dominant directions."""
 
 from dataclasses import dataclass
 
@@ -25,9 +24,7 @@ class PrecoderSet:
 class CovarianceSubspace:
     """One unitary basis of the receive space, split after its n_dominant-th
     column into the dominant directions (the nulls) and their orthogonal
-    complement. The basis comes from `span_subspace` (a QR of the directions
-    themselves) or from `dominant_subspace` (the eigenvectors of a
-    covariance, strongest first)."""
+    complement, as `dominant_subspace` builds it."""
 
     basis: np.ndarray  # (M, M) unitary
     n_dominant: int
@@ -72,7 +69,7 @@ def zf_with_nulls(h_users, u_null, user_map=()):
     pseudo-inverse of [H | U], renormalized, without forming that (K+N)-wide
     system.
 
-    U must have orthonormal columns (eigenvectors or a QR basis); a U with
+    U must have orthonormal columns (a QR or singular-vector basis); a U with
     max |U^H U - I| > 1e-8 raises ValueError. Rank test: a Cholesky factor L
     of the K x K Gram A^H A. Its pivots diag(L)^2, with the N unit pivots of
     U^H U = I, are the pivots of the stacked Gram [U | H]^H [U | H]. A failed
@@ -108,27 +105,21 @@ def zf_with_nulls(h_users, u_null, user_map=()):
     return PrecoderSet(W=w_raw / np.sqrt(zeta), user_map=tuple(user_map))
 
 
-def dominant_subspace(z, n_dominant):
-    """The n_dominant strongest directions of a Hermitian covariance: its
-    eigenvectors, sorted by descending eigenvalue."""
-    z = np.asarray(z)
-    m = z.shape[0]
-    if z.shape != (m, m):
-        raise ValueError("covariance must be square")
-    scale = np.linalg.norm(z)
-    if scale > 0 and np.linalg.norm(z - z.conj().T) > 1e-8 * scale:
-        raise ValueError("covariance must be Hermitian")
-    if not 0 <= n_dominant <= m:
-        raise ValueError("n_dominant must lie in [0, M]")
-    _, eigenvectors = np.linalg.eigh((z + z.conj().T) / 2.0)
-    return CovarianceSubspace(basis=eigenvectors[:, np.arange(m - 1, -1, -1)], n_dominant=int(n_dominant))
-
-
-def span_subspace(vectors):
-    """The span of the columns of an (M, r) matrix, r <= M, and its complement,
-    from one complete QR: Q[:, :r] spans the columns and Q[:, r:] the rest."""
-    q, _ = np.linalg.qr(vectors, mode="complete")
-    return CovarianceSubspace(basis=q, n_dominant=vectors.shape[1])
+def dominant_subspace(a, n_dominant):
+    """The n_dominant strongest left-singular directions of an (M, r) matrix
+    and their complement: the span of its columns, from one complete QR, when
+    n_dominant == r, and the SVD's leading vectors otherwise. For the weighted
+    directions B of a covariance Z = B B^H + s I, or for a Hermitian PSD Z
+    itself, they are Z's top eigenvectors."""
+    a = np.asarray(a)
+    m, r = a.shape
+    if not 0 <= n_dominant <= min(m, r):
+        raise ValueError("n_dominant must lie in [0, min(M, r)]")
+    if n_dominant == r:
+        basis, _ = np.linalg.qr(a, mode="complete")
+    else:
+        basis = np.linalg.svd(a)[0]
+    return CovarianceSubspace(basis=basis, n_dominant=int(n_dominant))
 
 
 def residual_power(sub, z_vec):

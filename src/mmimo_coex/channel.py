@@ -66,6 +66,8 @@ def received_covariance(x, active, links, powers, noise_power=0.0):
     by construction. `links` maps (x.id, j.id) to a (slow_gain_linear, H) pair.
     The sum is one product: with the rows of every H_xj stacked into V and
     each row's P_j g_xj in c, Z = V^H diag(c) V + noise_power * I.
+    It is the reference for the eLBT nulls, which the engine takes from
+    B = V^H diag(sqrt(c)), Z = B B^H + noise_power * I, without forming Z.
     """
     m = x.num_antennas
     weights, rows = [], [np.empty((0, m), dtype=complex)]

@@ -30,12 +30,17 @@ def _base_config(args):
     return cfg.replace(**overrides) if overrides else cfg
 
 
+def _fmt(value, spec, scale=1.0):
+    """A summary statistic as printed; n/a where it has no samples (None)."""
+    return "n/a" if value is None else format(value / scale, spec)
+
+
 def _print_summary(cfg, summary):
     print(f"scenario {cfg.scenario}  p_tr={cfg.p_tr}  drops={cfg.n_drops}  rounds={cfg.n_rounds}  seed={cfg.seed}")
     for ap, success in enumerate(summary["ap_access_success"]):
-        print(f"  AP{ap} access success: {success:.3f}")
-    print(f"  median DL sum user throughput: {summary['median_dl_sum_throughput_bps'] / 1e6:.2f} Mb/s")
-    print(f"  DL user SINR p5/p50: {summary['dl_sinr_p5_db']:.2f} / {summary['dl_sinr_p50_db']:.2f} dB")
+        print(f"  AP{ap} access success: {_fmt(success, '.3f')}")
+    print(f"  median DL sum user throughput: {_fmt(summary['median_dl_sum_throughput_bps'], '.2f', 1e6)} Mb/s")
+    print(f"  DL user SINR p5/p50: {_fmt(summary['dl_sinr_p5_db'], '.2f')} / {_fmt(summary['dl_sinr_p50_db'], '.2f')} dB")
 
 
 def _writable_dir(path):

@@ -8,7 +8,7 @@ import numpy as np
 
 from . import beamforming, mac, phy
 from .blas import single_blas_thread
-from .channel import ChannelTable, received_covariance
+from .channel import ChannelTable
 from .errors import SingularChannelError
 from .geometry import ROLE_AP, associate, generate_drop
 from .results import DropResult, ResultSet
@@ -172,32 +172,17 @@ class RoundMedium:
         return total, per_source
 
     def _covariance_subspace(self, x_id):
-        """The nulls of x and their complement, for the covariance x estimates
-        over its listening window: every node outside x's own cell, each at
-        its maximum power. Each such node t adds the one direction v_t to the
-        noise floor, so when their count r is at most n_nulls the dominant
-        subspace is span{v_t}, taken from a QR of the rows with no covariance
-        or eigendecomposition. Beyond n_nulls the covariance's eigenvectors
-        pick the n_nulls strongest directions."""
-        if self._subspace is not None:
-            return self._subspace
-        table = self.drop.table
-        own_cell = set(self.drop.sched.served[x_id])
-        ids = [nd.id for nd in self.drop.nodes if nd.id != x_id and nd.id not in own_cell]
-        rows = table.array_rows(ids)
-        if len(ids) <= self.cfg.n_nulls:
-            self._subspace = beamforming.span_subspace(rows.T)
-        else:
-            # link_h(x, t) of the array receiving is v_t^H as a (1, M) matrix
-            links = {(x_id, t): (table.slow_gain[x_id, t], v[None, :].conj()) for t, v in zip(ids, rows)}
-            z = received_covariance(
-                self._node(x_id),
-                [self._node(t) for t in ids],
-                links,
-                self.drop.max_power_mw,
-                noise_power=self._noise(x_id),
-            )
-            self._subspace = beamforming.dominant_subspace(z, self.cfg.n_nulls)
+        """The nulls of x and their complement: the min(r, n_nulls) strongest of
+        the directions sqrt(P_t g_xt) v_t that the r nodes outside x's cell,
+        each at its maximum power, add to the noise floor over x's listening
+        window (all of their span when r <= n_nulls), with no covariance formed."""
+        if self._subspace is None:
+            table = self.drop.table
+            own_cell = set(self.drop.sched.served[x_id])
+            ids = [nd.id for nd in self.drop.nodes if nd.id != x_id and nd.id not in own_cell]
+            amps = np.sqrt(np.take(self.drop.max_power_mw, ids) * table.slow_gain[x_id, ids])
+            a = table.array_rows(ids).T * amps
+            self._subspace = beamforming.dominant_subspace(a, min(len(ids), self.cfg.n_nulls))
         return self._subspace
 
     # ---- admission ---------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 from dataclasses import dataclass
 from itertools import islice
@@ -74,16 +75,22 @@ def aggregate_cdf(samples):
     return [(v, (i + 1) / n) for i, v in enumerate(values)]
 
 
+def _finite_or_none(value):
+    """A statistic as strict JSON can hold it: None where it has no finite value."""
+    return value if math.isfinite(value) else None
+
+
 def summary(results):
     """The run's headline numbers: what manifest.json stores, `sim run` prints
-    and each row of `sim sweep`'s sweep_summary.csv holds."""
+    and each row of `sim sweep`'s sweep_summary.csv holds; a statistic with no
+    samples is None (null in JSON, an empty CSV cell)."""
     cfg = results.config
     sinr_db = results.sinr_samples_db()
     return {
-        "ap_access_success": [results.ap_access_success(a) for a in range(3)],
-        "median_dl_sum_throughput_bps": results.median_sum_throughput(),
-        "dl_sinr_p5_db": _percentile(sinr_db, 5),
-        "dl_sinr_p50_db": _percentile(sinr_db, 50),
+        "ap_access_success": [_finite_or_none(results.ap_access_success(a)) for a in range(3)],
+        "median_dl_sum_throughput_bps": _finite_or_none(results.median_sum_throughput()),
+        "dl_sinr_p5_db": _finite_or_none(_percentile(sinr_db, 5)),
+        "dl_sinr_p50_db": _finite_or_none(_percentile(sinr_db, 50)),
         "n_sinr_samples": len(sinr_db),
         "scenario": cfg.scenario,
         "p_tr": cfg.p_tr,

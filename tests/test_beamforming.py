@@ -7,11 +7,12 @@ from mmimo_coex.beamforming import (
     dominant_subspace,
     matched_filter,
     residual_power,
-    span_subspace,
     zf_precoder,
     zf_with_nulls,
 )
+from mmimo_coex.channel import received_covariance
 from mmimo_coex.errors import CapabilityError, SingularChannelError
+from mmimo_coex.geometry import ROLE_AP, ROLE_STA, NodeDescriptor
 
 
 # ---- matched filter ----------------------------------------------------------
@@ -211,22 +212,45 @@ def test_dominant_subspace_reconstruction():
     assert np.linalg.norm(rebuilt - z) / np.linalg.norm(z) < 1e-8
 
 
-def test_dominant_subspace_rejects_non_hermitian():
-    z = np.array([[1.0, 2.0], [0.0, 1.0]], dtype=complex)
-    with pytest.raises(ValueError):
-        dominant_subspace(z, 1)
-
-
 @pytest.mark.parametrize("r", [0, 1, 5, 12])
 def test_span_subspace_splits_a_unitary_basis_at_the_span(r):
     rng = np.random.default_rng(16 + r)
     vectors = crandn(rng, 12, r)
-    sub = span_subspace(vectors)
+    sub = dominant_subspace(vectors, r)
     assert sub.dominant.shape == (12, r) and sub.complement.shape == (12, 12 - r)
     assert np.allclose(sub.basis.conj().T @ sub.basis, np.eye(12), atol=1e-12)
     # every column lies in the dominant block: nothing is left in the complement
     for v in vectors.T:
         assert residual_power(sub, v) <= 1e-24 * np.linalg.norm(v) ** 2
+
+
+def test_dominant_subspace_of_graded_directions_matches_the_covariance():
+    # the weighted directions sqrt(p_t) v_t of r transmitters, as a non-square
+    # (M, r) matrix, with powers p_t spread over 1e-40..1e40
+    rng = np.random.default_rng(18)
+    m, exponents = 12, [40.0, 39.5, 39.0, 38.5, 20.0, 0.0, -20.0, -40.0]
+    r = len(exponents)
+    v = crandn(rng, m, r)
+    powers = 10.0 ** np.array(exponents)
+    a = v * np.sqrt(powers)
+    x = NodeDescriptor(0, ROLE_AP, (0.0, 0.0, 3.0), m, 24.0)
+    txs = [NodeDescriptor(t + 1, ROLE_STA, (float(t), 0.0, 1.5), 1, 18.0) for t in range(r)]
+    links = {(0, t + 1): (1.0, v[:, t][None, :].conj()) for t in range(r)}
+    z = received_covariance(x, txs, links, {t + 1: p for t, p in enumerate(powers)}, noise_power=1e-3)
+    top = np.linalg.eigh(z)[1][:, ::-1]
+    # below r: the top-n eigenvectors of Z = A A^H + noise I. The reference's
+    # eigh resolves a split only where the n-th eigenvalue stands well above
+    # eps ||Z||, which holds within the four strongest directions.
+    for n in range(1, 5):
+        u = dominant_subspace(a, n).dominant
+        np.testing.assert_allclose(u @ u.conj().T, top[:, :n] @ top[:, :n].conj().T, rtol=0, atol=1e-10)
+    # at r: the span of every column, however weak
+    sub = dominant_subspace(a, r)
+    assert sub.dominant.shape == (m, r)
+    for col in a.T:
+        assert residual_power(sub, col) <= 1e-12 * np.vdot(col, col).real
+    with pytest.raises(ValueError):
+        dominant_subspace(a, r + 1)
 
 
 # ---- residual power ------------------------------------------------------------

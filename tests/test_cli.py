@@ -145,9 +145,20 @@ def test_sweep_rejects_a_repeated_cell_before_running(tmp_path, capsys, monkeypa
 
 
 def _summary_row(summary):
-    """A sweep_summary.csv row, as text, from one manifest summary."""
+    """A sweep_summary.csv row, as text, from one manifest summary; null is an empty cell."""
     numbers = [summary["scenario"], summary["p_tr"], *summary["ap_access_success"]]
-    return [str(v) for v in numbers + [summary["median_dl_sum_throughput_bps"], summary["dl_sinr_p5_db"]]]
+    numbers += [summary["median_dl_sum_throughput_bps"], summary["dl_sinr_p5_db"]]
+    return ["" if v is None else str(v) for v in numbers]
+
+
+def _strict_json(path):
+    """Parse a file as strict JSON: NaN, Infinity and -Infinity are rejected."""
+
+    def reject(token):
+        raise ValueError(f"{path}: {token} is not JSON")
+
+    with open(path) as fh:
+        return json.load(fh, parse_constant=reject)
 
 
 def test_run_prints_its_manifest_summary(tmp_path, capsys):
@@ -173,3 +184,29 @@ def test_sweep_summary_rows_are_the_cell_manifests(tmp_path):
     summaries = [json.loads((out / cell / "manifest.json").read_text())["summary"] for cell in cells]
     assert rows == [_summary_row(s) for s in summaries]
     assert [row[0] for row in rows] == ["A", "A", "C", "C"]  # the canonical letter, not the spelling given
+
+
+@pytest.mark.parametrize("override", [["--ptr", "0"], ["--drops", "0"]])
+def test_statistics_without_samples_are_null_in_the_manifest(override, tmp_path, capsys):
+    out = tmp_path / "run"
+    args = ["--scenario", "C", "--drops", "2", "--rounds", "3", "--seed", "4", "--out", str(out)]
+    assert main(["run", *args, *override]) == 0
+    summary = _strict_json(out / "manifest.json")["summary"]
+    assert summary["ap_access_success"] == [None, None, None]
+    assert summary["dl_sinr_p5_db"] is None and summary["dl_sinr_p50_db"] is None
+    assert summary["n_sinr_samples"] == 0
+    stdout = capsys.readouterr().out
+    assert "AP1 access success: n/a" in stdout
+    assert "DL user SINR p5/p50: n/a / n/a dB" in stdout
+
+
+def test_sweep_writes_an_empty_cell_for_a_statistic_without_samples(tmp_path):
+    out = tmp_path / "sweep"
+    args = ["--drops", "2", "--rounds", "3", "--seed", "4", "--out", str(out)]
+    assert main(["sweep", "--scenarios", "B", "--ptrs", "0,1", *args]) == 0
+    with open(out / "sweep_summary.csv", newline="") as fh:
+        _, idle, busy = list(csv.reader(fh))
+    assert idle[2:5] == ["", "", ""] and idle[6] == ""
+    assert all(busy[2:7])
+    for cell in ("B_ptr0", "B_ptr1"):
+        _strict_json(out / cell / "manifest.json")

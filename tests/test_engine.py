@@ -207,7 +207,7 @@ def test_nulls_are_the_span_of_every_out_of_cell_node():
         u = sub.dominant
         np.testing.assert_allclose(u @ u.conj().T, _top_projector(z, len(ids)), rtol=0, atol=1e-10)
         # the span of conj(v_t) is another subspace: the residual check fails on it
-        assert _worst_relative_residual(beamforming.span_subspace(rows.conj().T), rows) > 0.1
+        assert _worst_relative_residual(beamforming.dominant_subspace(rows.conj().T, len(ids)), rows) > 0.1
     assert checked >= 25
 
 
@@ -225,25 +225,33 @@ def test_surplus_nodes_take_the_strongest_covariance_directions():
         np.testing.assert_allclose(d, np.diag(np.linalg.eigvalsh(z)[::-1]), rtol=0, atol=1e-12 * scale)
 
 
-def test_scenario_c_decomposes_only_covariances_beyond_n_nulls(monkeypatch):
+def test_scenario_c_takes_one_subspace_per_elbt_round(monkeypatch):
+    # the engine forms no covariance: each eLBT round hands the weighted rows
+    # of the r nodes outside the cell to dominant_subspace once, for
+    # min(r, n_nulls) nulls, and both of its branches occur
+    assert not hasattr(engine, "received_covariance")
     cfg = ScenarioConfig(scenario="C", p_tr=1.0, n_drops=20, n_rounds=20, seed=1)
-    covariance_nodes, eigh_calls, span_calls = [], [], []
+    calls, per_round = [], []
+    real_subspace, real_run_round = beamforming.dominant_subspace, engine.run_round
 
-    def spy(record, real):
-        def wrapped(*args, **kwargs):
-            record.append(args)
-            return real(*args, **kwargs)
+    def subspace_spy(a, n_dominant):
+        calls.append((a.shape[1], n_dominant))
+        return real_subspace(a, n_dominant)
 
-        return wrapped
+    def round_spy(drop, r):
+        before = len(calls)
+        out = real_run_round(drop, r)
+        elbt = sum(att.mode == mac.MODE_ELBT for att in out.attempts)
+        per_round.append((elbt, len(calls) - before))
+        return out
 
-    monkeypatch.setattr(engine, "received_covariance", spy(covariance_nodes, engine.received_covariance))
-    monkeypatch.setattr(beamforming, "dominant_subspace", spy(eigh_calls, beamforming.dominant_subspace))
-    monkeypatch.setattr(beamforming, "span_subspace", spy(span_calls, beamforming.span_subspace))
+    monkeypatch.setattr(beamforming, "dominant_subspace", subspace_spy)
+    monkeypatch.setattr(engine, "run_round", round_spy)
     run_simulation(cfg)
-    assert all(len(args[1]) > cfg.n_nulls for args in covariance_nodes)
-    assert len(eigh_calls) == len(covariance_nodes) > 0
-    assert all(args[0].shape[1] <= cfg.n_nulls for args in span_calls)
-    assert len(span_calls) > 2 * len(eigh_calls)
+    assert len(per_round) == cfg.n_drops * cfg.n_rounds
+    assert all(calls_made == elbt_attempts <= 1 for elbt_attempts, calls_made in per_round)
+    assert all(n == min(r, cfg.n_nulls) for r, n in calls)
+    assert {n == r for r, n in calls} == {True, False}
 
 
 def test_drops_run_on_one_blas_thread(monkeypatch):
