@@ -10,7 +10,6 @@ Conventions
   loss + shadowing + 0 dBi antenna gains) is carried separately.
 """
 
-import cmath
 import functools
 import math
 
@@ -85,6 +84,10 @@ def received_covariance(x, active, links, powers, noise_power=0.0):
     return (z + z.conj().T) / 2.0
 
 
+# A scalar link is a one-element aperture with no steering: its LOS phase alone.
+_SCALAR_GRID = np.array([[0.0], [0.0], [1.0]])
+
+
 @functools.lru_cache(maxsize=8)
 def _upper_pairs(n):
     """Row and column indices of the n(n-1)/2 node pairs (i < j), read-only."""
@@ -106,15 +109,21 @@ class ChannelTable:
     v_j. Path-loss, shadowing, K-factor and carrier parameters are read from
     the scenario configuration.
 
+    Fading is drawn in per-drop blocks and handed out on first read.
     `resample` makes no random draw: it keeps the drop's generator and clears
-    the snapshot. A link's fading is drawn from that generator on its first
-    read in the snapshot and cached until the next `resample`: a scalar pair
-    with `standard_normal(3)` (K-factor, Rayleigh re and im) then `random()`
-    (LOS phase), a batch of n array rows with `standard_normal((n, 2M + 1))`
-    (per row M Rayleigh (re, im) pairs, then the K-factor) then
-    `random((3, n))` (azimuth, cos elevation, LOS phase). Every link is i.i.d.
-    Ricean whatever the read order, but which values a link gets depends on
-    that order.
+    the snapshot. A link's first read in a snapshot takes the next slot of a
+    block, n slots for scalar pairs and n - 1 for array rows, and the link
+    keeps it until the next `resample`. Only a read that finds its block used
+    up draws the next one: s slots over an M-element aperture with
+    `standard_normal((s, 2M + 1))` (per slot M Rayleigh (re, im) pairs, then
+    the K-factor) then `random((3, s))` (azimuth, cos elevation, LOS phase);
+    a scalar slot is the case M = 1 with no steering. Each slot holds its
+    coefficient under both laws, Ricean for a LOS link and Rayleigh (K = 0)
+    for an NLOS one, and a read takes the law of its link. A batch of rows
+    takes consecutive slots in the order of its ids' first appearance,
+    running on into the next block, so a drop draws less than one block of
+    each kind beyond the slots it reads. Every link is i.i.d. Ricean whatever
+    the read order, but which values a link gets depends on that order.
     """
 
     def __init__(self, nodes, config, rng):
@@ -151,6 +160,8 @@ class ChannelTable:
 
         self._rng = None
         self._pairs = {}  # (low id, high id) -> coefficient seen by the low id
+        self._pair_block = []  # per slot, [NLOS, LOS] coefficients as Python complex
+        self._pair_slot = 0
         if self.array_node is not None:
             m = self.array_size
             side = math.isqrt(m)
@@ -162,68 +173,69 @@ class ChannelTable:
             self._grid = np.array([rows, cols, np.ones(m)], dtype=float)
             self._rows = np.zeros((self.n, m), dtype=complex)  # the array's own row stays zero
             self._row_ready = []  # per node, set by resample
+            # per node, its law's index in a block: 1 for a LOS link to the array
+            self._row_law = self.los[self.array_node].astype(int).tolist()
+            self._row_block = np.empty((2, 0, m), dtype=complex)
+            self._row_slot = 0
 
     def resample(self, rng):
-        """Start a block-fading snapshot whose links draw from `rng` on first read."""
+        """Start a block-fading snapshot whose links take their slots on first read."""
         self._rng = rng
         self._pairs.clear()
         if self.array_node is not None:
             self._row_ready = [False] * self.n
             self._row_ready[self.array_node] = True
 
-    def _ricean(self, k_draw, los):
-        """Amplitudes of the LOS term and of each Rayleigh component of a
-        unit-power Ricean coefficient, its K-factor in dB being the standard
-        normal `k_draw` mapped onto the configured law; off LOS, K = 0."""
-        k = 10.0 ** ((self.k_factor_db[0] + self.k_factor_db[1] * k_draw) / 10.0) if los else 0.0
-        return math.sqrt(k / (k + 1.0)), math.sqrt(1.0 / (k + 1.0)) / math.sqrt(2.0)
-
-    def _draw_pair(self, low, high):
-        """Draw the coefficient of the (low, high) scalar link as seen by `low`."""
-        k_draw, re, im = self._rng.standard_normal(3).tolist()
-        los_amp, ray_amp = self._ricean(k_draw, self.los[low, high])
-        return cmath.rect(los_amp, 2.0 * math.pi * self._rng.random()) + ray_amp * complex(re, im)
-
-    def _draw_rows(self, ids):
-        """Draw the array-link vectors of the distinct nodes `ids`, in that order.
-
-        The per-node terms are Python floats and only the per-antenna part is
-        vectorised: most batches hold one row, where numpy's per-call cost
-        would dominate.
-        """
-        m, x = self.array_size, self.array_node
-        z = self._rng.standard_normal((len(ids), 2 * m + 1))
-        uniforms = self._rng.random((3, len(ids))).tolist()
-        terms = []  # per node: kx, ky, LOS phase psi, LOS and Rayleigh amplitudes
-        for los, k_draw, az, cos_el, psi in zip(self.los[x, ids].tolist(), z[:, -1].tolist(), *uniforms):
-            az, cos_el = 2.0 * math.pi * az, 2.0 * cos_el - 1.0
-            reach = math.pi * math.sqrt(1.0 - cos_el * cos_el)  # pi sin(elevation)
-            terms += (reach * math.cos(az), reach * math.sin(az), 2.0 * math.pi * psi, *self._ricean(k_draw, los))
-        t = np.array(terms).reshape(len(ids), 5)
-        steer = np.exp(1j * (t[:, :3] @ self._grid))
-        self._rows[ids] = t[:, 3:4] * steer + t[:, 4:] * z[:, :-1].view(complex)
-        for j in ids:
-            self._row_ready[j] = True
+    def _draw_block(self, size, grid):
+        """Fading of `size` slots over the aperture `grid`, shape (2, size, M):
+        [0] under the NLOS law (Rayleigh), [1] under the LOS law (unit-power
+        Ricean, its K-factor in dB a standard normal mapped onto the
+        configured law, plus a planar wavefront at a uniform direction)."""
+        m = grid.shape[1]
+        z = self._rng.standard_normal((size, 2 * m + 1))
+        az, cos_el, psi = self._rng.random((3, size))
+        az *= 2.0 * math.pi
+        reach = math.pi * np.sqrt(1.0 - (2.0 * cos_el - 1.0) ** 2)  # pi sin(elevation)
+        steer = np.exp(1j * (np.stack([reach * np.cos(az), reach * np.sin(az), 2.0 * math.pi * psi], axis=1) @ grid))
+        k = 10.0 ** ((self.k_factor_db[0] + self.k_factor_db[1] * z[:, -1:]) / 10.0)
+        block = np.empty((2, size, m), dtype=complex)
+        np.multiply(z[:, :-1].view(complex), math.sqrt(0.5), out=block[0])
+        block[1] = np.sqrt(k / (k + 1.0)) * steer + np.sqrt(1.0 / (k + 1.0)) * block[0]
+        return block
 
     def scalar_h(self, rx, tx):
         """Fading coefficient of the (rx, tx) link between single-antenna nodes."""
         key = (rx, tx) if rx < tx else (tx, rx)
         h = self._pairs.get(key)
         if h is None:
-            h = self._pairs[key] = self._draw_pair(*key)
+            slot = self._pair_slot
+            if slot == len(self._pair_block):
+                self._pair_block = self._draw_block(self.n, _SCALAR_GRID)[:, :, 0].T.tolist()
+                slot = 0
+            self._pair_slot = slot + 1
+            h = self._pairs[key] = self._pair_block[slot][self.los.item(key)]
         return h if rx < tx else h.conjugate()
+
+    def _take_row(self, j):
+        """Hand node j the next row slot, under the law of its link to the array."""
+        if self._row_slot == self._row_block.shape[1]:
+            self._row_block = self._draw_block(self.n - 1, self._grid)
+            self._row_slot = 0
+        self._rows[j] = self._row_block[self._row_law[j], self._row_slot]
+        self._row_slot += 1
+        self._row_ready[j] = True
 
     def array_rows(self, ids):
         """Array-link vectors v_j, one row per node id in `ids`, shape (len(ids), M)."""
-        todo = [j for j in dict.fromkeys(ids) if not self._row_ready[j]]
-        if todo:
-            self._draw_rows(todo)
+        for j in ids:
+            if not self._row_ready[j]:
+                self._take_row(j)
         return self._rows[ids]
 
     def _row(self, j):
         """Array-link vector of node j, a view that the next snapshot overwrites."""
         if not self._row_ready[j]:
-            self._draw_rows([j])
+            self._take_row(j)
         return self._rows[j]
 
     def link_h(self, rx, tx):

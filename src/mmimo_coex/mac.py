@@ -4,6 +4,7 @@ round-robin schedulers of the three deployments."""
 
 import math
 from dataclasses import dataclass, field
+from itertools import compress
 
 MODE_LBT = "LBT"
 MODE_ELBT = "eLBT"
@@ -50,8 +51,8 @@ def draw_traffic(stas, p_tr, rng, ul_fraction=0.2):
     sta_ids = [sta.id for sta in stas]
     active = rng.random(len(sta_ids)) < p_tr
     uplink = rng.random(len(sta_ids)) < ul_fraction
-    dl = frozenset(s for s, a, u in zip(sta_ids, active, uplink) if a and not u)
-    ul = frozenset(s for s, a, u in zip(sta_ids, active, uplink) if a and u)
+    dl = frozenset(compress(sta_ids, (active & ~uplink).tolist()))
+    ul = frozenset(compress(sta_ids, (active & uplink).tolist()))
     return TrafficState(active_dl=dl, active_ul=ul)
 
 
@@ -139,7 +140,9 @@ def select_ul_sta(ap_id, traffic, state):
 def contend(contenders, medium, rng, cw=16):
     """Snapshot contention round: backoff-ordered sequential admission.
 
-    Every contender draws a backoff uniform in [0, cw); contenders are then
+    Every contender draws a backoff uniform in [0, cw), as floor(u * cw) of
+    one uniform u each (exact for a power-of-two cw, and within 2^-53 per
+    value otherwise; u < 1 keeps it below cw); contenders are then
     processed in ascending (backoff, node id) order and each one senses only
     the transmitters admitted before it. LBT nodes compare the full received
     power against the energy threshold; the eLBT node compares the power left
@@ -150,9 +153,9 @@ def contend(contenders, medium, rng, cw=16):
     is mid-burst and can merely be energy-detected). Granted nodes are
     activated on the medium and transmit for the whole round.
     """
-    backoffs = rng.integers(0, cw, len(contenders))
+    backoffs = (rng.random(len(contenders)) * cw).astype(int).tolist()
     order = sorted(
-        ((int(b), node_id, mode) for (node_id, mode), b in zip(contenders, backoffs)),
+        ((b, node_id, mode) for (node_id, mode), b in zip(contenders, backoffs)),
         key=lambda t: (t[0], t[1]),
     )
     attempts = []

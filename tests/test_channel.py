@@ -12,6 +12,7 @@ from mmimo_coex.channel import (
     shadowing_db,
 )
 from mmimo_coex.config import ScenarioConfig
+from mmimo_coex.engine import init_drop, run_round
 from mmimo_coex.geometry import NodeDescriptor, ROLE_AP, ROLE_STA, generate_drop
 from mmimo_coex.units import db_to_linear
 
@@ -101,15 +102,27 @@ def _array_power(nodes, seed, snapshots, **overrides):
     return table, np.concatenate(powers).ravel()
 
 
+def _assert_fourth_moment(samples, target):
+    """The mean of |h|^4 over `samples` lies within 4 standard errors of `target`."""
+    samples = np.abs(np.ravel(samples)) ** 4
+    standard_error = np.std(samples) / math.sqrt(samples.size)
+    assert abs(np.mean(samples) - target) < 4.0 * standard_error
+
+
 def test_ricean_pure_los_unit_modulus():
     rng = np.random.default_rng(0)
     nodes = _array_world(40, 120.0)
     table = ChannelTable(nodes, ScenarioConfig(k_factor_mean_db=300.0, k_factor_std_db=0.0), rng)
     table.resample(rng)
     los = table.los & ~np.eye(len(nodes), dtype=bool)
+    nlos = np.triu(~table.los, 1)
     assert 0 < np.sum(los[0]) < len(nodes) - 1  # the array has LOS and NLOS links
-    assert np.allclose(np.abs(_scalar_matrix(table)[los]), 1.0, atol=1e-12)
+    scalar = _scalar_matrix(table)
+    assert np.allclose(np.abs(scalar[los]), 1.0, atol=1e-12)
     assert np.allclose(np.abs(table.array_rows(np.flatnonzero(los[0]))), 1.0, atol=1e-12)
+    # the NLOS links of the same snapshot are Rayleigh: E|h|^4 = 2
+    _assert_fourth_moment(scalar[nlos], 2.0)
+    _assert_fourth_moment(table.array_rows(np.flatnonzero(nlos[0])), 2.0)
 
 
 def test_rayleigh_unit_power():
@@ -322,63 +335,141 @@ def test_reciprocity_whatever_the_read_order(scenario, seed):
         assert np.array_equal(table.link_h(a, b), table.link_h(b, a).conj().T)
 
 
-def test_next_resample_redraws():
-    table, rng = _drop_table("C", 4)
-    h, v = table.scalar_h(3, 4), table.array_rows([5])[0].copy()
-    table.resample(rng)
-    state = rng.bit_generator.state
-    assert table.scalar_h(4, 3) != h.conjugate()
-    assert not np.array_equal(table.array_rows([5])[0], v)
-    assert rng.bit_generator.state != state
-
-
-def _scalar_reference(table, low, high, rng):
-    """The documented transform of one scalar pair's draws."""
-    k_draw, re, im = rng.standard_normal(3)
-    phase = 2.0 * math.pi * rng.random()
-    k = float(db_to_linear(table.k_factor_db[0] + table.k_factor_db[1] * k_draw)) if table.los[low, high] else 0.0
-    return math.sqrt(k / (k + 1)) * np.exp(1j * phase) + math.sqrt(1 / (k + 1)) * (re + 1j * im) / math.sqrt(2)
-
-
-def _rows_reference(table, ids, rng):
-    """The documented transform of one batch of array-row draws."""
-    m = table.array_size
-    z = rng.standard_normal((len(ids), 2 * m + 1))
-    u_az, u_el, u_psi = rng.random((3, len(ids)))
+def _block_reference(table, size, m, rng):
+    """The documented transform of one block of `size` slots over an m-element
+    aperture (m = 1 for a scalar block, which has no steering): the (NLOS, LOS)
+    coefficients of every slot, each of shape (size, m)."""
+    z = rng.standard_normal((size, 2 * m + 1))
+    u_az, u_el, u_psi = rng.random((3, size))
     az, cos_el, psi = 2 * np.pi * u_az, 2 * u_el - 1, 2 * np.pi * u_psi
-    k_db = table.k_factor_db[0] + table.k_factor_db[1] * z[:, -1]
-    k = np.where(table.los[table.array_node, ids], db_to_linear(k_db), 0.0)
-    side = math.isqrt(m)
-    grid_row, grid_col = np.divmod(np.arange(m), side)
-    rows = []
-    for i in range(len(ids)):
+    k = db_to_linear(table.k_factor_db[0] + table.k_factor_db[1] * z[:, -1])
+    grid_row, grid_col = np.divmod(np.arange(m), math.isqrt(m)) if m > 1 else (np.zeros(1), np.zeros(1))
+    nlos, los = [], []
+    for i in range(size):
         sin_el = math.sqrt(1 - cos_el[i] ** 2)
         phase = math.pi * sin_el * (math.cos(az[i]) * grid_row + math.sin(az[i]) * grid_col) + psi[i]
         ray = (z[i, 0 : 2 * m : 2] + 1j * z[i, 1 : 2 * m : 2]) / math.sqrt(2)
-        rows.append(math.sqrt(k[i] / (k[i] + 1)) * np.exp(1j * phase) + math.sqrt(1 / (k[i] + 1)) * ray)
-    return np.array(rows)
+        nlos.append(ray)
+        los.append(math.sqrt(k[i] / (k[i] + 1)) * np.exp(1j * phase) + math.sqrt(1 / (k[i] + 1)) * ray)
+    return np.array(nlos), np.array(los)
+
+
+def _pair_block(table, rng):
+    return _block_reference(table, table.n, 1, rng)
+
+
+def _row_block(table, rng):
+    return _block_reference(table, table.n - 1, table.array_size, rng)
+
+
+def _slot(block, los, slot):
+    """Slot `slot` of a reference block under the law of a link with LOS state `los`."""
+    return block[1 if los else 0][slot]
+
+
+def test_next_resample_redraws():
+    table, rng = _drop_table("C", 4)
+    x = table.array_node
+    ref = copy.deepcopy(rng)
+    h, v = table.scalar_h(3, 4), table.array_rows([5])[0].copy()
+    pairs, rows = _pair_block(table, ref), _row_block(table, ref)
+    table.resample(rng)
+    state = rng.bit_generator.state
+    h_next, v_next = table.scalar_h(4, 3), table.array_rows([5])[0]
+    assert h_next != h.conjugate()
+    assert not np.array_equal(v_next, v)
+    # the next snapshot takes each block's next slot and draws nothing
+    assert h_next == pytest.approx(np.conj(_slot(pairs, table.los[3, 4], 1)[0]), abs=1e-12)
+    assert np.allclose(v_next, _slot(rows, table.los[x, 5], 1), atol=1e-12)
+    assert rng.bit_generator.state == state == ref.bit_generator.state
 
 
 def test_links_are_the_documented_transform_of_their_draws():
     table, rng = _drop_table("C", 5)
     x = table.array_node
-    for low, high in [(3, 4), (10, 0), (7, 32)]:
-        ref = copy.deepcopy(rng)
-        expected = _scalar_reference(table, min(low, high), max(low, high), ref)
+    links = [(3, 4), (10, 0), (7, 32)]
+    ids = [9, 4, 20, 11]
+    assert len({table.los[a, b] for a, b in links}) == len({table.los[x, j] for j in ids}) == 2  # both laws read
+    ref = copy.deepcopy(rng)
+    pairs = _pair_block(table, ref)  # the first scalar read draws a block
+    for slot, (low, high) in enumerate(links):
         h = table.scalar_h(low, high)
         assert rng.bit_generator.state == ref.bit_generator.state
+        expected = _slot(pairs, table.los[low, high], slot)[0]
         assert h == pytest.approx(expected if low < high else np.conj(expected), abs=1e-12)
-    ref = copy.deepcopy(rng)
-    expected = _rows_reference(table, [9, 4, 20], ref)
-    rows = table.array_rows([9, 4, 9, 20, x])
+    rows = _row_block(table, ref)  # and so does the first row read
+    got = table.array_rows([9, 4, 9, 20, x])
     assert rng.bit_generator.state == ref.bit_generator.state
-    assert np.allclose(rows[[0, 1, 3]], expected, atol=1e-12)
-    assert np.array_equal(rows[2], rows[0])  # a repeated id is drawn once
-    assert not np.any(rows[4])  # the array's own row is zero
-    ref = copy.deepcopy(rng)
-    expected = _rows_reference(table, [11], ref)
-    assert np.allclose(table.link_h(x, 11), expected.conj(), atol=1e-12)
+    for slot, (i, j) in enumerate([(0, 9), (1, 4), (3, 20)]):
+        assert np.allclose(got[i], _slot(rows, table.los[x, j], slot), atol=1e-12)
+    assert np.array_equal(got[2], got[0])  # a repeated id is drawn once
+    assert not np.any(got[4])  # the array's own row is zero
+    assert np.allclose(table.link_h(x, 11), _slot(rows, table.los[x, 11], 3)[None, :].conj(), atol=1e-12)
     assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_a_read_with_a_slot_left_makes_no_draw():
+    table, rng = _drop_table("C", 6)
+    x = table.array_node
+    table.scalar_h(3, 4)  # draws the scalar block
+    table.array_rows([5])  # draws the row block
+    state = rng.bit_generator.state
+    table.scalar_h(6, 3)
+    table.link_h(7, 8)
+    table.link_h(x, 9)
+    table.emission_factor(10, x, np.ones((table.array_size, 1)))
+    table.emission_factor(x, 12)
+    table.array_rows([13, 14, 15])
+    assert rng.bit_generator.state == state
+
+
+def test_a_batch_across_the_end_of_a_block_uses_its_rest():
+    table, rng = _drop_table("C", 8)
+    x = table.array_node
+    others = [j for j in range(table.n) if j != x]  # one block's worth of rows
+    ref = copy.deepcopy(rng)
+    first, second = _row_block(table, ref), _row_block(table, ref)
+    table.array_rows(others[:5])
+    table.resample(rng)
+    batch = others[::-1]
+    got = table.array_rows(batch)
+    size = table.n - 1
+    for slot, (row, j) in enumerate(zip(got, batch), start=5):
+        block = first if slot < size else second
+        assert np.allclose(row, _slot(block, table.los[x, j], slot % size), atol=1e-12)
+    assert rng.bit_generator.state == ref.bit_generator.state  # two blocks, no more
+
+
+@pytest.mark.parametrize("scenario", ["B", "C"])
+def test_drop_hands_out_each_slot_once(scenario, monkeypatch):
+    """Over a seeded drop, every first read takes a slot that no other read
+    took, under its link's law, and the drop draws less than one block of
+    each kind beyond the slots it reads."""
+    blocks = {1: [], 36: []}  # aperture size -> the blocks drawn, in order
+    real_draw = ChannelTable._draw_block
+
+    def spy(self, size, grid):
+        block = real_draw(self, size, grid)
+        blocks[grid.shape[1]].append(block)
+        return block
+
+    monkeypatch.setattr(ChannelTable, "_draw_block", spy)
+    drop = init_drop(ScenarioConfig(scenario=scenario, p_tr=0.5), 3)
+    table, x = drop.table, drop.table.array_node
+    handed = {1: [], 36: []}  # aperture size -> (LOS state, value) of each first read
+    for r in range(30):
+        run_round(drop, r)
+        handed[1] += [(table.los[key], [h]) for key, h in table._pairs.items()]
+        handed[36] += [(table.los[x, j], table._rows[j].copy()) for j in range(table.n) if j != x and table._row_ready[j]]
+    for m, size in ((1, table.n), (36, table.n - 1)):
+        assert handed[m] and all(b.shape == (2, size, m) for b in blocks[m])
+        drawn = np.concatenate(blocks[m], axis=1)
+        slots = []
+        for los, value in handed[m]:
+            (slot,) = np.flatnonzero(np.all(drawn[int(los)] == value, axis=1))
+            slots.append(slot)
+        assert sorted(slots) == list(range(len(handed[m])))  # consecutive, none twice
+        assert 0 <= drawn.shape[1] - len(handed[m]) < size
 
 
 def _ricean_fourth_moment(k):
@@ -398,12 +489,11 @@ def test_los_fading_fourth_moment_is_ricean(k_db):
     scalar, array = [], []
     for _ in range(20):
         table.resample(rng)
-        scalar += [abs(table.scalar_h(a, b)) ** 4 for a in range(1, table.n) for b in range(a + 1, table.n)]
-        array.append(np.abs(table.array_rows(range(1, table.n)).ravel()) ** 4)
+        scalar += [table.scalar_h(a, b) for a in range(1, table.n) for b in range(a + 1, table.n)]
+        array.append(table.array_rows(range(1, table.n)))
     target = _ricean_fourth_moment(db_to_linear(k_db))
-    for samples in (np.array(scalar), np.concatenate(array)):
-        standard_error = np.std(samples) / math.sqrt(samples.size)
-        assert abs(np.mean(samples) - target) < 4.0 * standard_error
+    _assert_fourth_moment(scalar, target)
+    _assert_fourth_moment(array, target)
 
 
 def test_pure_los_array_rows_are_planar_wavefronts():

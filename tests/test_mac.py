@@ -270,3 +270,34 @@ def test_granted_lbt_set_pairwise_compatible():
         for g in granted:
             earlier = [t for t in granted if order[t] < order[g]]
             assert sum(rx[g][t] for t in earlier) + medium.noise < gamma
+
+
+class DeafMedium(FakeMedium):
+    """Hears nothing and grants nothing, so every contender makes an attempt."""
+
+    def activate(self, node_id, cca_slot=0):
+        return False
+
+
+def _backoffs(cw, rounds, seed, contenders=16):
+    rng = np.random.default_rng(seed)
+    medium = DeafMedium({})
+    return [
+        a.backoff_slot
+        for _ in range(rounds)
+        for a in mac.contend([(i, mac.MODE_LBT) for i in range(contenders)], medium, rng, cw)
+    ]
+
+
+@pytest.mark.parametrize("cw", [1, 10, 16, 1024])
+def test_backoffs_lie_in_the_window(cw):
+    slots = _backoffs(cw, 200, cw)
+    assert all(isinstance(b, int) and 0 <= b < cw for b in slots)
+
+
+def test_backoffs_are_uniform():
+    """A 16-bin chi-square of 16,000 backoffs at cw = 16, against the 99.9%
+    quantile of chi-square with 15 degrees of freedom (37.70)."""
+    counts = np.bincount(_backoffs(16, 1000, 2024), minlength=16)
+    expected = counts.sum() / 16
+    assert np.sum((counts - expected) ** 2 / expected) < 37.70
