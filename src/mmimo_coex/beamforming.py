@@ -2,6 +2,7 @@
 zero forcing with radiation-null constraints, dominant-subspace extraction,
 and residual power after projecting out the dominant directions."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,9 +40,10 @@ class CovarianceSubspace:
 
 
 def matched_filter(h, user=None):
-    """Single-stream precoder aligned with the user channel: W = h / ||h||."""
+    """Single-stream precoder aligned with the user channel: W = h / ||h||.
+    `h` may be a vector or, for a single-antenna AP, a complex number."""
     h = np.asarray(h, dtype=complex).reshape(-1, 1)
-    norm = np.linalg.norm(h)
+    norm = math.sqrt(np.vdot(h, h).real)
     if norm == 0.0:
         raise ValueError("matched filter undefined for a zero channel")
     return PrecoderSet(W=h / norm, user_map=() if user is None else (user,))

@@ -84,17 +84,28 @@ def received_covariance(x, active, links, powers, noise_power=0.0):
     return (z + z.conj().T) / 2.0
 
 
-# A scalar link is a one-element aperture with no steering: its LOS phase alone.
+# A scalar link is a one-element aperture at the origin: of its planar
+# wavefront only the LOS phase survives, so `_draw_block` skips the steering.
 _SCALAR_GRID = np.array([[0.0], [0.0], [1.0]])
 
 
 @functools.lru_cache(maxsize=8)
 def _upper_pairs(n):
-    """Row and column indices of the n(n-1)/2 node pairs (i < j), read-only."""
+    """Row and column indices of the n(n-1)/2 node pairs (i < j), and the
+    (n, n) map from (i, j) to the index of their pair, n(n-1)/2 on the
+    diagonal; all read-only."""
     iu = np.triu_indices(n, 1)
-    for idx in iu:
+    pair_of = np.full((n, n), len(iu[0]))
+    pair_of[iu] = pair_of[iu[::-1]] = np.arange(len(iu[0]))
+    for idx in (*iu, pair_of):
         idx.flags.writeable = False
-    return iu
+    return iu, pair_of
+
+
+def _symmetric(pair_values, diagonal, pair_of):
+    """The symmetric (n, n) matrix of one value per node pair, `diagonal` on
+    its diagonal, as one gather."""
+    return np.concatenate((pair_values, [diagonal])).take(pair_of)
 
 
 class ChannelTable:
@@ -117,7 +128,9 @@ class ChannelTable:
     up draws the next one: s slots over an M-element aperture with
     `standard_normal((s, 2M + 1))` (per slot M Rayleigh (re, im) pairs, then
     the K-factor) then `random((3, s))` (azimuth, cos elevation, LOS phase);
-    a scalar slot is the case M = 1 with no steering. Each slot holds its
+    a scalar slot is the case M = 1 with the same draws, whose wavefront is
+    its LOS phase alone (the azimuth and elevation are drawn and not used).
+    A scalar read returns a Python complex. Each slot holds its
     coefficient under both laws, Ricean for a LOS link and Rayleigh (K = 0)
     for an NLOS one, and a read takes the law of its link. A batch of rows
     takes consecutive slots in the order of its ids' first appearance,
@@ -135,10 +148,10 @@ class ChannelTable:
         self.array_node = multi[0] if multi else None
         self.array_size = nodes[multi[0]].num_antennas if multi else 0
 
-        iu = _upper_pairs(self.n)
+        iu, pair_of = _upper_pairs(self.n)
         n_pairs = len(iu[0])
         xyz = np.array(list(zip(*(nd.position for nd in nodes))))  # one row per coordinate
-        sq = xyz[:, iu[0]] - xyz[:, iu[1]]
+        sq = np.take(xyz, iu[0], axis=1) - np.take(xyz, iu[1], axis=1)
         sq *= sq
         d_pairs = np.sqrt(sq[0] + sq[1] + sq[2])
 
@@ -148,15 +161,11 @@ class ChannelTable:
         nlos_coef = (config.pl_nlos_intercept, config.pl_nlos_slope)
         pl_pairs = path_loss_db(d_pairs, los_pairs, config.carrier_ghz, los_coef, nlos_coef)
 
-        self.los = np.zeros((self.n, self.n), dtype=bool)
-        self.los[iu] = los_pairs
-        self.los |= self.los.T
-        slow_db = np.zeros((self.n, self.n))
-        slow_db[iu] = -(pl_pairs + shadow_pairs)
-        slow_db += slow_db.T
-        self.slow_gain_db = slow_db
-        self.slow_gain = db_to_linear(slow_db)
-        np.fill_diagonal(self.slow_gain, 0.0)
+        self.los = _symmetric(los_pairs, False, pair_of)
+        slow_db_pairs = -(pl_pairs + shadow_pairs)
+        self.slow_gain_db = _symmetric(slow_db_pairs, 0.0, pair_of)
+        # exponentiated on the pairs; no gain from a node to itself
+        self.slow_gain = _symmetric(db_to_linear(slow_db_pairs), 0.0, pair_of)
 
         self._rng = None
         self._pairs = {}  # (low id, high id) -> coefficient seen by the low id
@@ -190,13 +199,18 @@ class ChannelTable:
         """Fading of `size` slots over the aperture `grid`, shape (2, size, M):
         [0] under the NLOS law (Rayleigh), [1] under the LOS law (unit-power
         Ricean, its K-factor in dB a standard normal mapped onto the
-        configured law, plus a planar wavefront at a uniform direction)."""
+        configured law, plus a planar wavefront at a uniform direction).
+        On `_SCALAR_GRID` the draws are the same and the wavefront is the
+        LOS phase alone, bit for bit what the steering product gives."""
         m = grid.shape[1]
         z = self._rng.standard_normal((size, 2 * m + 1))
         az, cos_el, psi = self._rng.random((3, size))
-        az *= 2.0 * math.pi
-        reach = math.pi * np.sqrt(1.0 - (2.0 * cos_el - 1.0) ** 2)  # pi sin(elevation)
-        steer = np.exp(1j * (np.stack([reach * np.cos(az), reach * np.sin(az), 2.0 * math.pi * psi], axis=1) @ grid))
+        if grid is _SCALAR_GRID:
+            steer = np.exp(1j * (2.0 * math.pi * psi))[:, None]
+        else:
+            az *= 2.0 * math.pi
+            reach = math.pi * np.sqrt(1.0 - (2.0 * cos_el - 1.0) ** 2)  # pi sin(elevation)
+            steer = np.exp(1j * (np.stack([reach * np.cos(az), reach * np.sin(az), 2.0 * math.pi * psi], axis=1) @ grid))
         k = 10.0 ** ((self.k_factor_db[0] + self.k_factor_db[1] * z[:, -1:]) / 10.0)
         block = np.empty((2, size, m), dtype=complex)
         np.multiply(z[:, :-1].view(complex), math.sqrt(0.5), out=block[0])
@@ -252,7 +266,9 @@ class ChannelTable:
 
         `w` is the transmitter's precoding matrix; scalar transmitters use 1.
         For the array node receiving, this is the total power over its whole
-        aperture (callers average per antenna for CCA statistics).
+        aperture (callers average per antenna for CCA statistics). A link
+        between single-antenna nodes is |h|^2 |w|^2 in Python floats, w being
+        the one element of `w`.
         """
         x = self.array_node
         if tx == x:
@@ -261,6 +277,9 @@ class ChannelTable:
         if rx == x:
             row = self._row(tx)
             factor = np.vdot(row, row).real
-        else:
-            factor = abs(self.scalar_h(rx, tx)) ** 2
-        return factor if w is None else factor * np.vdot(w, w).real
+            return factor if w is None else factor * np.vdot(w, w).real
+        factor = abs(self.scalar_h(rx, tx)) ** 2
+        if w is None:
+            return factor
+        w = w.item()
+        return factor * (w.real * w.real + w.imag * w.imag)

@@ -16,6 +16,10 @@ from .units import db_to_linear, dbm_to_mw
 
 CENTRAL_AP = 1
 
+# The precoder of every transmitting STA: one antenna at unit gain, read-only and shared.
+_STA_PRECODER = beamforming.PrecoderSet(W=np.ones((1, 1), dtype=complex))
+_STA_PRECODER.W.flags.writeable = False
+
 
 @dataclass
 class RoundOutcome:
@@ -55,6 +59,12 @@ def _link_constants(
         preamble_min_sinr=float(db_to_linear(preamble_min_sinr_db)),
         rate_table=phy.RateTable(rate_table),
     )
+
+
+@functools.lru_cache(maxsize=128)
+def _tx_power_mw(p_max_dbm, num_antennas, n_nulls, n_streams):
+    """`phy.tx_power` in mW, converted once per (P_max, M, N, K)."""
+    return float(dbm_to_mw(phy.tx_power(p_max_dbm, num_antennas, n_nulls, n_streams)))
 
 
 @dataclass
@@ -128,9 +138,8 @@ class RoundMedium:
 
     def _source_power(self, rx_id, tx_id):
         table = self.drop.table
-        w = self.precoders[tx_id].W
-        e = table.emission_factor(rx_id, tx_id, w)
-        return self.powers[tx_id] * table.slow_gain[rx_id, tx_id] * e / self._node(rx_id).num_antennas
+        e = table.emission_factor(rx_id, tx_id, self.precoders[tx_id].W)
+        return self.powers[tx_id] * table.slow_gain.item(rx_id, tx_id) * e / self._node(rx_id).num_antennas
 
     def _noise(self, node_id):
         link = self.drop.link
@@ -191,7 +200,7 @@ class RoundMedium:
         node = self._node(node_id)
         if node.role != ROLE_AP:
             self.powers[node_id] = self.drop.max_power_mw[node_id]
-            self.precoders[node_id] = beamforming.PrecoderSet(W=np.ones((1, 1), dtype=complex))
+            self.precoders[node_id] = _STA_PRECODER
             self.active.append(node_id)
             self.start_slot[node_id] = cca_slot
             return True
@@ -212,7 +221,7 @@ class RoundMedium:
         if precoder is None:
             return False  # rank-deficient even after dropping users: grant voided
         k = precoder.W.shape[1]
-        self.powers[ap.id] = float(dbm_to_mw(phy.tx_power(ap.max_power_dbm, ap.num_antennas, n_nulls, k)))
+        self.powers[ap.id] = _tx_power_mw(ap.max_power_dbm, ap.num_antennas, n_nulls, k)
         self.precoders[ap.id] = precoder
         self.scheduled[ap.id] = tuple(precoder.user_map)
         self.null_counts[ap.id] = n_nulls
@@ -223,7 +232,7 @@ class RoundMedium:
         table = self.drop.table
         if ap.num_antennas == 1:
             user = users[0]
-            return beamforming.matched_filter(np.array([table.scalar_h(user, ap.id)]), user=user)
+            return beamforming.matched_filter(table.scalar_h(user, ap.id), user=user)
         users = list(users)
         while users:
             # one C-ordered column per user: BLAS results can depend on the layout
@@ -309,11 +318,14 @@ def run_round(drop, round_index):
     user_sinr_db = {}
     user_rate = {}
     active = tuple(medium.active)
+    table = drop.table
     for ap_id, users in medium.scheduled.items():
+        # a link between single-antenna nodes is its Python complex, one to the array its matrix
         links = {}
         for u in users:
             for t in active:
-                links[(u, t)] = (drop.table.slow_gain[u, t], drop.table.link_h(u, t))
+                h = table.link_h(u, t) if t == table.array_node else table.scalar_h(u, t)
+                links[(u, t)] = (table.slow_gain.item(u, t), h)
         for u in users:
             sinr = phy.compute_sinr(u, ap_id, active, links, medium.powers, medium.precoders, drop.link.noise_sta_mw)
             sinr_db = 10.0 * np.log10(sinr)

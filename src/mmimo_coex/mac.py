@@ -4,7 +4,6 @@ round-robin schedulers of the three deployments."""
 
 import math
 from dataclasses import dataclass, field
-from itertools import compress
 
 MODE_LBT = "LBT"
 MODE_ELBT = "eLBT"
@@ -16,10 +15,16 @@ DEFER_PREAMBLE = "preamble"
 
 @dataclass
 class TrafficState:
-    """Round snapshot of which STAs hold traffic and in which direction."""
+    """Round snapshot of which STAs hold traffic and in which direction.
+
+    `cells` caches, per cell (keyed by its tuple of served STAs), the sorted
+    lists of its STAs holding DL and UL traffic, built on the round's first
+    query so that later queries neither intersect sets nor sort.
+    """
 
     active_dl: frozenset
     active_ul: frozenset
+    cells: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 @dataclass
@@ -48,12 +53,12 @@ def draw_traffic(stas, p_tr, rng, ul_fraction=0.2):
     probability ul_fraction for this round, DL otherwise."""
     if not 0.0 <= p_tr <= 1.0:
         raise ValueError("p_tr must lie in [0, 1]")
-    sta_ids = [sta.id for sta in stas]
-    active = rng.random(len(sta_ids)) < p_tr
-    uplink = rng.random(len(sta_ids)) < ul_fraction
-    dl = frozenset(compress(sta_ids, (active & ~uplink).tolist()))
-    ul = frozenset(compress(sta_ids, (active & uplink).tolist()))
-    return TrafficState(active_dl=dl, active_ul=ul)
+    u_active, u_uplink = rng.random((2, len(stas))).tolist()  # the values of two calls of n
+    dl, ul = [], []
+    for sta, a, b in zip(stas, u_active, u_uplink):
+        if a < p_tr:
+            (ul if b < ul_fraction else dl).append(sta.id)
+    return TrafficState(active_dl=frozenset(dl), active_ul=frozenset(ul))
 
 
 def energy_detect(total_rx_power, gamma_lbt):
@@ -103,14 +108,27 @@ def _rotate(candidates, cursor, k):
     return wrapped[:k]
 
 
+def _cell_traffic(ap_id, traffic, state):
+    """The sorted lists of the cell's STAs holding DL and UL traffic, sorted
+    once per round and cell (see `TrafficState.cells`)."""
+    served = state.served[ap_id]
+    cell = traffic.cells.get(served)
+    if cell is None:
+        ids = sorted(served)
+        dl, ul = traffic.active_dl, traffic.active_ul
+        cell = traffic.cells[served] = ([s for s in ids if s in dl], [s for s in ids if s in ul])
+    return cell
+
+
 def dl_candidates(ap_id, traffic, state, phase=None):
-    """The set of the cell's STAs holding DL traffic; when `phase` is given,
-    only those in the matching eLBT/LBT partition subset."""
-    cands = set(state.served[ap_id]) & traffic.active_dl
+    """The cell's STAs holding DL traffic, in ascending id order (a list the
+    round's queries share); when `phase` is given, only those in the matching
+    eLBT/LBT partition subset."""
+    cands = _cell_traffic(ap_id, traffic, state)[0]
     if phase == MODE_ELBT:
-        cands &= state.elbt_set
-    elif phase == MODE_LBT:
-        cands &= state.lbt_set
+        return [s for s in cands if s in state.elbt_set]
+    if phase == MODE_LBT:
+        return [s for s in cands if s in state.lbt_set]
     return cands
 
 
@@ -120,7 +138,7 @@ def schedule(ap_id, traffic, state, phase=None):
     Single-antenna APs serve one user; the spatial-multiplexing AP serves up
     to its stream budget. `phase` filters candidates as in `dl_candidates`.
     """
-    cands = sorted(dl_candidates(ap_id, traffic, state, phase))
+    cands = dl_candidates(ap_id, traffic, state, phase)
     k = min(state.k_max[ap_id], len(cands))
     picked = _rotate(cands, state.dl_cursor.get(ap_id, 0), k)
     state.dl_cursor[ap_id] = state.dl_cursor.get(ap_id, 0) + k
@@ -129,7 +147,7 @@ def schedule(ap_id, traffic, state, phase=None):
 
 def select_ul_sta(ap_id, traffic, state):
     """Round-robin choice of the single STA contending for UL in this cell."""
-    cands = sorted(set(state.served[ap_id]) & traffic.active_ul)
+    cands = _cell_traffic(ap_id, traffic, state)[1]
     if not cands:
         return None
     picked = _rotate(cands, state.ul_cursor.get(ap_id, 0), 1)[0]

@@ -73,24 +73,34 @@ def compute_sinr(user_id, serving_id, active_ids, links, powers, precoders, nois
     P_j g |H^H W_j|^2 summed over all its streams, plus the residual
     intra-cell leakage of the serving AP's other columns; noise closes the
     denominator. `links` maps (user_id, tx_id) to (slow_gain_linear, H) with
-    H of shape (M_tx, 1).
+    H of shape (M_tx, 1). A single-antenna transmitter's H may instead be its
+    complex coefficient h, the one element of H, computed in Python numbers;
+    that transmitter's W must then hold one element (`W.item()` raises
+    otherwise).
     """
     w_serv = precoders[serving_id]
     stream = w_serv.user_map.index(user_id)
     g_serv, h_serv = links[(user_id, serving_id)]
-    amps = (h_serv.conj().T @ w_serv.W)[0]
     p_serv = powers[serving_id] * g_serv
-    signal = p_serv * abs(amps[stream]) ** 2
-    amps[stream] = 0.0  # what remains is the leakage of the other streams
-    intra = p_serv * np.vdot(amps, amps).real
+    if isinstance(h_serv, complex):
+        signal, intra = p_serv * abs(h_serv.conjugate() * w_serv.W.item()) ** 2, 0.0
+    else:
+        amps = (h_serv.conj().T @ w_serv.W)[0]
+        signal = p_serv * abs(amps[stream]) ** 2
+        amps[stream] = 0.0  # what remains is the leakage of the other streams
+        intra = p_serv * np.vdot(amps, amps).real
 
     inter = 0.0
     for tx_id in active_ids:
         if tx_id == serving_id:
             continue
         g, h = links[(user_id, tx_id)]
-        a = h.conj().T @ precoders[tx_id].W
-        inter += powers[tx_id] * g * np.vdot(a, a).real
+        if isinstance(h, complex):
+            a = h.conjugate() * precoders[tx_id].W.item()
+            inter += powers[tx_id] * g * (a.real * a.real + a.imag * a.imag)
+        else:
+            a = h.conj().T @ precoders[tx_id].W
+            inter += powers[tx_id] * g * np.vdot(a, a).real
     return signal / (inter + intra + noise_mw)
 
 

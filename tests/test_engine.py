@@ -543,3 +543,44 @@ def test_drop_setup_matches_per_node_reference(scenario, overrides):
         assert medium.gamma_lbt == float(dbm_to_mw(cfg.gamma_lbt_dbm))
         assert medium.gamma_preamble == float(dbm_to_mw(cfg.gamma_preamble_dbm))
         assert medium.preamble_min_sinr == float(db_to_linear(cfg.preamble_min_sinr_db))
+
+
+@pytest.mark.parametrize("scenario", "ABC")
+def test_scalar_links_give_the_array_form_sinr_and_sensing(scenario, monkeypatch):
+    """run_round hands compute_sinr each single-antenna link as a Python
+    complex: every scheduled user's SINR equals compute_sinr fed the link_h
+    matrices, and every LBT total is the array-form sum of P g ||H^H W||^2 / M
+    plus the noise."""
+    drop = init_drop(ScenarioConfig(scenario=scenario, p_tr=0.7), np.random.SeedSequence(9))
+    table = drop.table
+    real_sinr, real_sensed = phy.compute_sinr, RoundMedium.sensed_rx
+    sinr_of, kinds, sensed = {}, set(), []
+
+    def sinr_spy(user, serving, active, links, powers, precoders, noise):
+        sinr = real_sinr(user, serving, active, links, powers, precoders, noise)
+        # every link of this user was read for `links`, so link_h takes no new slot
+        arrays = {key: (g, table.link_h(*key)) for key, (g, _) in links.items()}
+        assert sinr == pytest.approx(real_sinr(user, serving, active, arrays, powers, precoders, noise), rel=1e-12)
+        kinds.update(type(h) for _, h in links.values())
+        sinr_of[user] = sinr
+        return sinr
+
+    def sensed_spy(medium, rx, cca_slot):
+        total, per_source = real_sensed(medium, rx, cca_slot)
+        m = drop.nodes[rx].num_antennas
+        reference = medium._noise(rx)
+        for t in medium.active:
+            amps = table.link_h(rx, t).conj().T @ medium.precoders[t].W
+            reference += medium.powers[t] * table.slow_gain[rx, t] * np.sum(np.abs(amps) ** 2) / m
+        assert total == pytest.approx(reference, rel=1e-12)
+        sensed.append(len(medium.active))
+        return total, per_source
+
+    monkeypatch.setattr(engine.phy, "compute_sinr", sinr_spy)
+    monkeypatch.setattr(RoundMedium, "sensed_rx", sensed_spy)
+    for r in range(20):
+        sinr_of.clear()
+        out = run_round(drop, r)
+        assert out.user_sinr_db == {u: float(10.0 * np.log10(s)) for u, s in sinr_of.items()}
+    assert complex in kinds and (scenario == "A") != (np.ndarray in kinds)
+    assert max(sensed) >= 2

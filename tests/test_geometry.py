@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mmimo_coex.config import ScenarioConfig
-from mmimo_coex.geometry import ROLE_AP, ROLE_STA, ap_corridor_x, associate, generate_drop
+from mmimo_coex.geometry import ROLE_AP, ROLE_STA, NodeDescriptor, ap_corridor_x, associate, generate_drop
 
 
 def make_cfg(**kw):
@@ -29,6 +29,42 @@ def test_generate_drop_deterministic():
     nodes_a = generate_drop(make_cfg(), seed=123)
     nodes_b = generate_drop(make_cfg(), seed=123)
     assert nodes_a == nodes_b
+
+
+def test_node_descriptor_contract():
+    positional = NodeDescriptor(4, ROLE_STA, (1.0, 2.0, 1.5), 1, 18.0)
+    keyword = NodeDescriptor(id=4, role=ROLE_STA, position=(1.0, 2.0, 1.5), num_antennas=1, max_power_dbm=18.0)
+    assert positional == keyword and hash(positional) == hash(keyword)
+    assert len({positional, keyword}) == 1
+    assert (keyword.id, keyword.role, keyword.position, keyword.num_antennas, keyword.max_power_dbm) == (
+        4, ROLE_STA, (1.0, 2.0, 1.5), 1, 18.0
+    )
+    assert positional != NodeDescriptor(4, ROLE_STA, (1.0, 2.0, 1.5), 2, 18.0)
+    for antennas in (0, -1):
+        with pytest.raises(ValueError):
+            NodeDescriptor(0, ROLE_AP, (0.0, 0.0, 3.0), antennas, 24.0)
+        with pytest.raises(ValueError):
+            NodeDescriptor(id=0, role=ROLE_AP, position=(0.0, 0.0, 3.0), num_antennas=antennas, max_power_dbm=24.0)
+    with pytest.raises(ValueError):
+        positional._replace(num_antennas=0)
+    assert positional._replace(id=5) == NodeDescriptor(5, ROLE_STA, (1.0, 2.0, 1.5), 1, 18.0)
+    for field in ("id", "role", "position", "num_antennas", "max_power_dbm"):
+        with pytest.raises(AttributeError):
+            setattr(positional, field, None)
+    with pytest.raises(AttributeError):
+        positional.extra = 1
+    assert positional == keyword
+
+
+def test_generate_drop_positions_are_the_generators_uniforms():
+    cfg = make_cfg(n_stas=12)
+    nodes = generate_drop(cfg, 2024)
+    rng = np.random.default_rng(2024)
+    xs = rng.uniform(0.0, cfg.floor_width_m, cfg.n_stas)
+    ys = rng.uniform(0.0, cfg.floor_depth_m, cfg.n_stas)
+    expected = [NodeDescriptor(3 + s, ROLE_STA, (xs[s], ys[s], cfg.sta_height_m), 1, cfg.sta_max_power_dbm) for s in range(12)]
+    assert nodes[3:] == expected
+    assert all(type(c) is float for nd in nodes for c in nd.position[:2])
 
 
 def test_generate_drop_rejects_empty():

@@ -111,10 +111,10 @@ def test_sinr_zf_kills_intra_cell():
         assert sinr == pytest.approx(powers[0] * signal / (powers[0] * leak + 1e-9), rel=1e-9)
 
 
-def _random_instance(rng):
+def _random_instance(rng, antenna_choices=(1, 2, 4, 8, 36)):
     """Random multi-cell snapshot: transmitter 0 serves the probe user."""
     n_tx = int(rng.integers(2, 6))
-    antennas = [int(rng.choice([1, 2, 4, 8, 36])) for _ in range(n_tx)]
+    antennas = [int(rng.choice(antenna_choices)) for _ in range(n_tx)]
     streams = [min(int(rng.integers(1, 5)), m) for m in antennas]
     user = 100
     links, powers, precoders = {}, {}, {}
@@ -150,3 +150,39 @@ def test_removing_interferer_never_hurts():
         full = compute_sinr(user, 0, tuple(powers), links, powers, precoders, noise)
         reduced = compute_sinr(user, 0, tuple(t for t in powers if t != 1), links, powers, precoders, noise)
         assert reduced >= full - 1e-15
+
+
+def _complex_scalar_links(links):
+    """The same links, each one-antenna H given as its Python complex h."""
+    return {key: (g, complex(h[0, 0]) if h.shape[0] == 1 else h) for key, (g, h) in links.items()}
+
+
+def test_sinr_of_complex_scalar_links_matches_brute_force_and_array_form():
+    rng = np.random.default_rng(11)
+    scalar_serving = mixed = 0
+    for _ in range(300):
+        user, links, powers, precoders = _random_instance(rng, antenna_choices=(1, 1, 1, 4, 36))
+        noise = float(10 ** rng.uniform(-12, -9))
+        active = tuple(powers)
+        scalar_links = _complex_scalar_links(links)
+        kinds = {isinstance(h, complex) for _, h in scalar_links.values()}
+        scalar_serving += isinstance(scalar_links[(user, 0)][1], complex)
+        mixed += kinds == {True, False}
+        fast = compute_sinr(user, 0, active, scalar_links, powers, precoders, noise)
+        array_form = compute_sinr(user, 0, active, links, powers, precoders, noise)
+        oracle = brute_force_sinr(user, 0, active, links, powers, precoders, noise)
+        assert fast == pytest.approx(oracle, rel=1e-12)
+        assert fast == pytest.approx(array_form, rel=1e-12)
+    assert scalar_serving > 50 and mixed > 50  # both branches, and a single-antenna serving AP
+
+
+@pytest.mark.parametrize("wide", ["serving", "interferer"])
+def test_sinr_rejects_a_complex_link_to_a_multi_antenna_precoder(wide):
+    # a complex h stands for a one-antenna transmitter, so a W of four elements raises
+    unit = PrecoderSet(W=np.ones((1, 1), dtype=complex))
+    four = PrecoderSet(W=np.full((4, 1), 0.5, dtype=complex))
+    precoders = {0: four if wide == "serving" else unit, 1: four if wide == "interferer" else unit}
+    precoders[0].user_map = (10,)
+    links = {(10, 0): (1.0, 0.6 + 0.8j), (10, 1): (1.0, 0.5 - 0.5j)}
+    with pytest.raises(ValueError):
+        compute_sinr(10, 0, (0, 1), links, {0: 1.0, 1: 1.0}, precoders, 1e-9)

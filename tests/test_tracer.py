@@ -47,3 +47,19 @@ def test_tracer_wraps_every_layer_and_restores_them(tmp_path):
     assert tracer.counts["phy.scheduled_users"] == len(res.sinr_samples_db())
     ap_attempts = sum(sum(d.ap_attempts) for d in res.drops)
     assert tracer.counts["mac.attempts"] >= ap_attempts > 0
+
+
+def test_scenario_a_reaches_every_single_antenna_layer():
+    # Scenario A has only single-antenna links; a fast path for them that
+    # bypassed a wrapped name would silently read 0 in that layer's metric.
+    tracer_mod = _load_tracer()
+    tracer = tracer_mod.Tracer()
+    tracer_mod.trace_simulator(tracer, engine, results)
+    try:
+        engine.run_simulation(ScenarioConfig(scenario="A", p_tr=1.0, n_drops=3, n_rounds=4, seed=5))
+    finally:
+        assert tracer.restore()
+    layers = tracer.layer_totals()
+    for name in ("beamforming.precode", "phy.sinr", "engine.cca_lbt", "channel.table_build", "geometry.generate_drop"):
+        assert layers.get(name, {}).get("calls", 0) > 0, name
+    assert layers["geometry.generate_drop"]["calls"] == layers["channel.table_build"]["calls"] == 3
