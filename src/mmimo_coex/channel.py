@@ -29,7 +29,7 @@ SHADOW_SIGMA_NLOS_DB = 4.0
 def los_probability(d_3d):
     """Line-of-sight probability versus 3D distance (indoor hotspot model)."""
     d = np.asarray(d_3d, dtype=float)
-    if np.any(d < 0):
+    if (d < 0).any():
         raise ValueError("distance must be non-negative")
     p = np.where(d <= 18.0, 1.0, np.where(d <= 37.0, np.exp(-(d - 18.0) / 27.0), 0.5))
     return float(p) if np.isscalar(d_3d) else p
@@ -54,7 +54,7 @@ def path_loss_db(d_3d, los, carrier_ghz=5.18, los_coef=INH_LOS, nlos_coef=INH_NL
 def shadowing_db(los, rng, size=None, sigma_los=SHADOW_SIGMA_LOS_DB, sigma_nlos=SHADOW_SIGMA_NLOS_DB):
     """Log-normal shadowing draw (dB domain), sigma chosen by LOS state."""
     sigma = np.where(los, sigma_los, sigma_nlos)
-    return rng.normal(0.0, 1.0, size) * sigma if size is not None else rng.normal(0.0, sigma)
+    return rng.standard_normal(size) * sigma if size is not None else rng.normal(0.0, sigma)
 
 
 def received_covariance(x, active, links, powers, noise_power=0.0):
@@ -130,7 +130,8 @@ class ChannelTable:
     the K-factor) then `random((3, s))` (azimuth, cos elevation, LOS phase);
     a scalar slot is the case M = 1 with the same draws, whose wavefront is
     its LOS phase alone (the azimuth and elevation are drawn and not used).
-    A scalar read returns a Python complex. Each slot holds its
+    `link_h` reads any link: a link between single-antenna nodes is a Python
+    complex, and only this class decides which links are. Each slot holds its
     coefficient under both laws, Ricean for a LOS link and Rayleigh (K = 0)
     for an NLOS one, and a read takes the law of its link. A batch of rows
     takes consecutive slots in the order of its ids' first appearance,
@@ -253,33 +254,11 @@ class ChannelTable:
         return self._rows[j]
 
     def link_h(self, rx, tx):
-        """Fading matrix of shape (M_tx, M_rx) for the (rx, tx) link."""
+        """Fading of the (rx, tx) link: its (M_tx, M_rx) matrix H, or between
+        single-antenna nodes `scalar_h`'s Python complex h, H's one element."""
         x = self.array_node
         if tx == x:
             return self._row(rx)[:, None]
         if rx == x:
             return self._row(tx)[None, :].conj()
-        return np.array([[self.scalar_h(rx, tx)]])
-
-    def emission_factor(self, rx, tx, w=None):
-        """|H^H W|^2 summed over streams and receive antennas (fading only).
-
-        `w` is the transmitter's precoding matrix; scalar transmitters use 1.
-        For the array node receiving, this is the total power over its whole
-        aperture (callers average per antenna for CCA statistics). A link
-        between single-antenna nodes is |h|^2 |w|^2 in Python floats, w being
-        the one element of `w`.
-        """
-        x = self.array_node
-        if tx == x:
-            amps = self._row(rx).conj() @ w
-            return np.vdot(amps, amps).real
-        if rx == x:
-            row = self._row(tx)
-            factor = np.vdot(row, row).real
-            return factor if w is None else factor * np.vdot(w, w).real
-        factor = abs(self.scalar_h(rx, tx)) ** 2
-        if w is None:
-            return factor
-        w = w.item()
-        return factor * (w.real * w.real + w.imag * w.imag)
+        return self.scalar_h(rx, tx)

@@ -113,7 +113,7 @@ class RoundMedium:
         self.scheduled = {}
         self.null_counts = {}
         self.start_slot = {}  # node_id -> backoff slot where its frame began
-        self._subspace = None
+        self._subspace = self._n_coexisting = None
 
     # ---- sensing -----------------------------------------------------------
 
@@ -138,8 +138,8 @@ class RoundMedium:
 
     def _source_power(self, rx_id, tx_id):
         table = self.drop.table
-        e = table.emission_factor(rx_id, tx_id, self.precoders[tx_id].W)
-        return self.powers[tx_id] * table.slow_gain.item(rx_id, tx_id) * e / self._node(rx_id).num_antennas
+        g, h = table.slow_gain.item(rx_id, tx_id), table.link_h(rx_id, tx_id)
+        return phy.received_power(self.powers[tx_id], g, h, self.precoders[tx_id].W) / self._node(rx_id).num_antennas
 
     def _noise(self, node_id):
         link = self.drop.link
@@ -157,15 +157,23 @@ class RoundMedium:
 
     def residual_rx(self, x_id, cca_slot):
         """eLBT sensing: the same statistics after filtering out the dominant
-        covariance directions, which also removes their share of the noise."""
+        covariance directions, which also removes their share of the noise.
+
+        When the nulls span all r nodes outside x's cell, every active
+        transmitter lies in that span (an own-cell transmitter would leave x
+        busy receiving), so its residual is zero: the statistic is the noise
+        share (M - r) / M alone, and no preamble is left to catch."""
         sub = self._covariance_subspace(x_id)
-        table = self.drop.table
         m = self._node(x_id).num_antennas
+        noise = self._noise(x_id) * (m - sub.n_dominant) / m
+        if sub.n_dominant == self._n_coexisting:
+            return noise, []
+        table = self.drop.table
         sources = [
             self.powers[t] * table.slow_gain[x_id, t] * beamforming.residual_power(sub, v) / m
             for t, v in zip(self.active, table.array_rows(self.active))
         ]
-        return self._cca_statistics(sources, self._noise(x_id) * sub.complement.shape[1] / m, cca_slot)
+        return self._cca_statistics(sources, noise, cca_slot)
 
     def _cca_statistics(self, sources, noise, cca_slot):
         """Total per-antenna received power plus the (power, SINR) list of the
@@ -191,6 +199,7 @@ class RoundMedium:
             ids = [nd.id for nd in self.drop.nodes if nd.id != x_id and nd.id not in own_cell]
             amps = np.sqrt(np.take(self.drop.max_power_mw, ids) * table.slow_gain[x_id, ids])
             a = table.array_rows(ids).T * amps
+            self._n_coexisting = len(ids)
             self._subspace = beamforming.dominant_subspace(a, min(len(ids), self.cfg.n_nulls))
         return self._subspace
 
@@ -232,7 +241,7 @@ class RoundMedium:
         table = self.drop.table
         if ap.num_antennas == 1:
             user = users[0]
-            return beamforming.matched_filter(table.scalar_h(user, ap.id), user=user)
+            return beamforming.matched_filter(table.link_h(user, ap.id), user=user)
         users = list(users)
         while users:
             # one C-ordered column per user: BLAS results can depend on the layout
@@ -320,12 +329,7 @@ def run_round(drop, round_index):
     active = tuple(medium.active)
     table = drop.table
     for ap_id, users in medium.scheduled.items():
-        # a link between single-antenna nodes is its Python complex, one to the array its matrix
-        links = {}
-        for u in users:
-            for t in active:
-                h = table.link_h(u, t) if t == table.array_node else table.scalar_h(u, t)
-                links[(u, t)] = (table.slow_gain.item(u, t), h)
+        links = {(u, t): (table.slow_gain.item(u, t), table.link_h(u, t)) for u in users for t in active}
         for u in users:
             sinr = phy.compute_sinr(u, ap_id, active, links, medium.powers, medium.precoders, drop.link.noise_sta_mw)
             sinr_db = 10.0 * np.log10(sinr)

@@ -65,18 +65,30 @@ def noise_power(bandwidth_hz, noise_figure_db, psd_dbm_hz=-174.0):
     return float(dbm_to_mw(psd_dbm_hz + 10.0 * math.log10(bandwidth_hz) + noise_figure_db))
 
 
+def received_power(p, g, h, w):
+    """P g ||H^H W||^2: the power that a transmitter radiating P through the
+    precoder W delivers over a link of slow gain g and fading H, summed over
+    streams and receive antennas. H is `ChannelTable.link_h`'s (M_tx, M_rx)
+    matrix or, between single-antenna nodes, its Python complex h, for which
+    the sum runs in Python numbers and W must hold one element (`W.item()`
+    raises otherwise)."""
+    if isinstance(h, complex):
+        a = h.conjugate() * w.item()
+        return p * g * (a.real * a.real + a.imag * a.imag)
+    a = h.conj().T @ w
+    return p * g * np.vdot(a, a).real
+
+
 def compute_sinr(user_id, serving_id, active_ids, links, powers, precoders, noise_mw):
     """Per-subcarrier SINR of a scheduled single-antenna user.
 
     Signal: P_a g |h^H w_user|^2 for the user's own precoder column.
-    Interference: every other active transmitter contributes
-    P_j g |H^H W_j|^2 summed over all its streams, plus the residual
-    intra-cell leakage of the serving AP's other columns; noise closes the
-    denominator. `links` maps (user_id, tx_id) to (slow_gain_linear, H) with
-    H of shape (M_tx, 1). A single-antenna transmitter's H may instead be its
-    complex coefficient h, the one element of H, computed in Python numbers;
-    that transmitter's W must then hold one element (`W.item()` raises
-    otherwise).
+    Interference: every other active transmitter contributes its
+    `received_power` P_j g ||H^H W_j||^2, summed over all its streams, plus
+    the residual intra-cell leakage of the serving AP's other columns; noise
+    closes the denominator. `links` maps (user_id, tx_id) to
+    (slow_gain_linear, H) with H of shape (M_tx, 1), or the Python complex h
+    of a single-antenna transmitter, as `ChannelTable.link_h` returns them.
     """
     w_serv = precoders[serving_id]
     stream = w_serv.user_map.index(user_id)
@@ -92,15 +104,9 @@ def compute_sinr(user_id, serving_id, active_ids, links, powers, precoders, nois
 
     inter = 0.0
     for tx_id in active_ids:
-        if tx_id == serving_id:
-            continue
-        g, h = links[(user_id, tx_id)]
-        if isinstance(h, complex):
-            a = h.conjugate() * precoders[tx_id].W.item()
-            inter += powers[tx_id] * g * (a.real * a.real + a.imag * a.imag)
-        else:
-            a = h.conj().T @ precoders[tx_id].W
-            inter += powers[tx_id] * g * np.vdot(a, a).real
+        if tx_id != serving_id:
+            g, h = links[(user_id, tx_id)]
+            inter += received_power(powers[tx_id], g, h, precoders[tx_id].W)
     return signal / (inter + intra + noise_mw)
 
 

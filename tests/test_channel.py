@@ -14,11 +14,17 @@ from mmimo_coex.channel import (
 from mmimo_coex.config import ScenarioConfig
 from mmimo_coex.engine import init_drop, run_round
 from mmimo_coex.geometry import NodeDescriptor, ROLE_AP, ROLE_STA, generate_drop
+from mmimo_coex.phy import received_power
 from mmimo_coex.units import db_to_linear
 
 
 def node(nid, pos, antennas=1, role=ROLE_STA, p=18.0):
     return NodeDescriptor(nid, role, pos, antennas, p)
+
+
+def _link_matrix(table, rx, tx):
+    """The (M_tx, M_rx) fading matrix of a link; `link_h`'s complex h becomes 1 x 1."""
+    return np.atleast_2d(table.link_h(rx, tx))
 
 
 def _scalar_matrix(table):
@@ -228,12 +234,12 @@ def test_channel_table_matches_link_conventions():
     # link_h shapes follow (M_tx, M_rx)
     assert table.link_h(3, 1).shape == (36, 1)
     assert table.link_h(1, 3).shape == (1, 36)
-    assert table.link_h(3, 4).shape == (1, 1)
-    # emission factor with a precoder column matches the explicit product
+    assert _link_matrix(table, 3, 4).shape == (1, 1)
+    # the power received through a precoder matches the explicit product
     w = np.zeros((36, 2), dtype=complex)
     w[0, 0] = w[1, 1] = 1.0 / math.sqrt(2)
     explicit = float(np.sum(np.abs(table.array_rows([3])[0].conj() @ w) ** 2))
-    assert table.emission_factor(3, 1, w) == pytest.approx(explicit, rel=1e-12)
+    assert received_power(1.0, 1.0, table.link_h(3, 1), w) == pytest.approx(explicit, rel=1e-12)
 
 
 def test_channel_table_fading_unit_power():
@@ -256,7 +262,7 @@ def test_channel_table_reciprocity():
     for a in range(len(nodes)):
         for b in range(len(nodes)):
             if a != b:
-                assert np.array_equal(table.link_h(a, b), table.link_h(b, a).conj().T)
+                assert np.array_equal(_link_matrix(table, a, b), _link_matrix(table, b, a).conj().T)
 
 
 def test_channel_table_slow_gain_uses_configured_path_loss():
@@ -300,6 +306,17 @@ def _scalar_links(table):
     return [(a, b) for a in range(table.n) for b in range(table.n) if a != b and x not in (a, b)]
 
 
+@pytest.mark.parametrize("scenario", ["A", "C"])
+def test_a_single_antenna_link_is_its_python_complex(scenario):
+    table, rng = _drop_table(scenario, 3)
+    a, b = _scalar_links(table)[5]
+    h = table.link_h(a, b)
+    assert type(h) is complex and h == table.scalar_h(a, b)
+    slot, state = table._pair_slot, rng.bit_generator.state
+    assert table.link_h(a, b) == h and table.link_h(b, a) == h.conjugate()
+    assert (table._pair_slot, rng.bit_generator.state) == (slot, state)  # a repeated read takes no slot
+
+
 def test_resample_makes_no_draw():
     table, rng = _drop_table("C", 1)
     table.scalar_h(3, 4)
@@ -313,13 +330,13 @@ def test_resample_makes_no_draw():
 def test_second_read_draws_nothing(scenario):
     table, rng = _drop_table(scenario, 2)
     x = table.array_node
-    first = {(a, b): table.link_h(a, b).copy() for a, b in _scalar_links(table)[::7]}
+    first = {(a, b): _link_matrix(table, a, b).copy() for a, b in _scalar_links(table)[::7]}
     if x is not None:
-        first.update({(j, x): table.link_h(j, x).copy() for j in range(0, table.n, 3) if j != x})
+        first.update({(j, x): _link_matrix(table, j, x).copy() for j in range(0, table.n, 3) if j != x})
     state = rng.bit_generator.state
     for (a, b), h in first.items():
-        assert np.array_equal(table.link_h(a, b), h)
-        assert np.array_equal(table.link_h(b, a), h.conj().T)
+        assert np.array_equal(_link_matrix(table, a, b), h)
+        assert np.array_equal(_link_matrix(table, b, a), h.conj().T)
         if x is None:
             assert table.scalar_h(b, a) == h[0, 0].conjugate()
     assert rng.bit_generator.state == state
@@ -332,7 +349,7 @@ def test_reciprocity_whatever_the_read_order(scenario, seed):
     links = [(a, b) for a in range(table.n) for b in range(table.n) if a != b]
     for i in np.random.default_rng(seed).permutation(len(links)):
         a, b = links[i]
-        assert np.array_equal(table.link_h(a, b), table.link_h(b, a).conj().T)
+        assert np.array_equal(_link_matrix(table, a, b), _link_matrix(table, b, a).conj().T)
 
 
 def _block_reference(table, size, m, rng):
@@ -417,8 +434,8 @@ def test_a_read_with_a_slot_left_makes_no_draw():
     table.scalar_h(6, 3)
     table.link_h(7, 8)
     table.link_h(x, 9)
-    table.emission_factor(10, x, np.ones((table.array_size, 1)))
-    table.emission_factor(x, 12)
+    received_power(1.0, 1.0, table.link_h(10, x), np.ones((table.array_size, 1)))
+    received_power(1.0, 1.0, table.link_h(x, 12), np.ones((1, 1)))
     table.array_rows([13, 14, 15])
     assert rng.bit_generator.state == state
 

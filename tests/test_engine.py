@@ -161,6 +161,76 @@ def test_elbt_without_nulls_equals_lbt_sensing():
         assert s_r == pytest.approx(s_f, rel=1e-9)
 
 
+def _elbt_ccas(monkeypatch, seeds, **overrides):
+    """Every eLBT CCA over 20 rounds of scenario C drops at `seeds`: the
+    statistic, its projection form (the sources' residuals after the nulls,
+    plus the noise share), the total unfiltered power (sources plus noise),
+    the noise share, whether the nulls span all r nodes outside the cell, and
+    the own-cell nodes that are active."""
+    real = RoundMedium.residual_rx
+    ccas = []
+
+    def spy(medium, x, cca_slot):
+        statistic = real(medium, x, cca_slot)
+        drop, table = medium.drop, medium.drop.table
+        sub = medium._covariance_subspace(x)
+        m = drop.nodes[x].num_antennas
+        noise = medium._noise(x) * (m - sub.n_dominant) / m
+        rows = table.array_rows(medium.active)
+        scales = [medium.powers[t] * table.slow_gain[x, t] / m for t in medium.active]
+        residuals = [c * beamforming.residual_power(sub, v) for c, v in zip(scales, rows)]
+        own_cell = set(drop.sched.served[x])
+        ccas.append(
+            dict(
+                statistic=statistic,
+                projected=medium._cca_statistics(residuals, noise, cca_slot),
+                unfiltered=medium._noise(x) + sum(c * np.vdot(v, v).real for c, v in zip(scales, rows)),
+                noise=noise,
+                spanned=sub.n_dominant == len(drop.nodes) - 1 - len(own_cell),
+                own_active=own_cell & set(medium.active),
+                sources=len(medium.active),
+            )
+        )
+        return statistic
+
+    monkeypatch.setattr(RoundMedium, "residual_rx", spy)
+    for seed in seeds:
+        drop = init_drop(ScenarioConfig(scenario="C", p_tr=1.0, **overrides), np.random.SeedSequence(seed))
+        for r in range(20):
+            run_round(drop, r)
+    return ccas
+
+
+def test_elbt_statistic_is_the_noise_share_when_the_nulls_span_every_coexisting_node(monkeypatch):
+    # The closed form rests on its premise: no own-cell node is active at an
+    # eLBT CCA, so every active transmitter is one of the nulled nodes. Its
+    # projection form is the reference, to 1e-12 of the unfiltered power: a
+    # per-source bound would not hold, since the QR's rounding scales with
+    # its largest column.
+    ccas = _elbt_ccas(monkeypatch, range(12))
+    assert all(not c["own_active"] for c in ccas)
+    spanned = [c for c in ccas if c["spanned"]]
+    assert sum(c["sources"] > 0 for c in spanned) >= 40 and len(spanned) < len(ccas)
+    for c in spanned:
+        assert c["statistic"] == (c["noise"], [])
+        total, per_source = c["projected"]
+        assert abs(total - c["noise"]) <= 1e-12 * c["unfiltered"]
+        assert all(p <= 1e-12 * c["unfiltered"] for p, _ in per_source)
+
+
+def test_elbt_statistic_projects_when_coexisting_nodes_outnumber_the_nulls(monkeypatch):
+    ccas = _elbt_ccas(monkeypatch, range(3), n_nulls=8)
+    assert ccas and not any(c["spanned"] for c in ccas)
+    for c in ccas:
+        (total, per_source), (ref_total, ref_per_source) = c["statistic"], c["projected"]
+        assert total == pytest.approx(ref_total, rel=1e-12)
+        assert len(per_source) == len(ref_per_source)
+        for (p, s), (ref_p, ref_s) in zip(per_source, ref_per_source):
+            assert p == pytest.approx(ref_p, rel=1e-12) and s == pytest.approx(ref_s, rel=1e-12)
+    # the unnulled nodes leave power above the noise share, which a closed form would drop
+    assert any(c["statistic"][0] > 2.0 * c["noise"] for c in ccas)
+
+
 def _elbt_subspace(seed, **overrides):
     """A scenario C drop's eLBT subspace for the central AP, the ids of the
     nodes outside its cell in the engine's order, their array rows and the
@@ -548,8 +618,8 @@ def test_drop_setup_matches_per_node_reference(scenario, overrides):
 @pytest.mark.parametrize("scenario", "ABC")
 def test_scalar_links_give_the_array_form_sinr_and_sensing(scenario, monkeypatch):
     """run_round hands compute_sinr each single-antenna link as a Python
-    complex: every scheduled user's SINR equals compute_sinr fed the link_h
-    matrices, and every LBT total is the array-form sum of P g ||H^H W||^2 / M
+    complex: every scheduled user's SINR equals compute_sinr fed every link
+    as its matrix, and every LBT total is the array-form sum of P g ||H^H W||^2 / M
     plus the noise."""
     drop = init_drop(ScenarioConfig(scenario=scenario, p_tr=0.7), np.random.SeedSequence(9))
     table = drop.table
@@ -559,7 +629,7 @@ def test_scalar_links_give_the_array_form_sinr_and_sensing(scenario, monkeypatch
     def sinr_spy(user, serving, active, links, powers, precoders, noise):
         sinr = real_sinr(user, serving, active, links, powers, precoders, noise)
         # every link of this user was read for `links`, so link_h takes no new slot
-        arrays = {key: (g, table.link_h(*key)) for key, (g, _) in links.items()}
+        arrays = {key: (g, np.atleast_2d(table.link_h(*key))) for key, (g, _) in links.items()}
         assert sinr == pytest.approx(real_sinr(user, serving, active, arrays, powers, precoders, noise), rel=1e-12)
         kinds.update(type(h) for _, h in links.values())
         sinr_of[user] = sinr
@@ -570,7 +640,7 @@ def test_scalar_links_give_the_array_form_sinr_and_sensing(scenario, monkeypatch
         m = drop.nodes[rx].num_antennas
         reference = medium._noise(rx)
         for t in medium.active:
-            amps = table.link_h(rx, t).conj().T @ medium.precoders[t].W
+            amps = np.atleast_2d(table.link_h(rx, t)).conj().T @ medium.precoders[t].W
             reference += medium.powers[t] * table.slow_gain[rx, t] * np.sum(np.abs(amps) ** 2) / m
         assert total == pytest.approx(reference, rel=1e-12)
         sensed.append(len(medium.active))

@@ -11,6 +11,7 @@ from mmimo_coex.phy import (
     compute_sinr,
     map_rate,
     noise_power,
+    received_power,
     tx_power,
 )
 from mmimo_coex.beamforming import PrecoderSet, zf_precoder
@@ -76,6 +77,40 @@ def test_rate_table_validation():
         RateTable(rows=((2.0, 13e6), (5.0, 6.5e6)))
     with pytest.raises(ValueError):
         RateTable(rows=())
+
+
+# ---- received power ---------------------------------------------------------------
+
+
+def _explicit_received_power(p, g, h, w):
+    """P g sum over streams k and receive antennas r of |sum_a conj(H[a, r]) W[a, k]|^2, term by term."""
+    total = 0.0
+    for r in range(h.shape[1]):
+        for k in range(w.shape[1]):
+            amp = sum(np.conj(h[a, r]) * w[a, k] for a in range(h.shape[0]))
+            total += amp.real**2 + amp.imag**2
+    return p * g * total
+
+
+@pytest.mark.parametrize("case", ["complex h", "array transmitter", "array receiver"])
+def test_received_power_is_the_explicit_sum(case):
+    rng = np.random.default_rng(4)
+    m = 36
+    for _ in range(50):
+        p, g = float(10 ** rng.uniform(-1, 2.5)), float(10 ** rng.uniform(-12, -5))
+        if case == "complex h":
+            h, w = complex(crandn(rng)), np.exp(1j * rng.uniform(0, 2 * np.pi, (1, 1)))
+        elif case == "array transmitter":
+            h, w = crandn(rng, m, 1), crandn(rng, m, int(rng.integers(1, 5)))
+        else:
+            h, w = crandn(rng, 1, m), np.exp(1j * rng.uniform(0, 2 * np.pi, (1, 1)))
+        assert received_power(p, g, h, w) == pytest.approx(_explicit_received_power(p, g, np.atleast_2d(h), w), rel=1e-12)
+
+
+def test_received_power_rejects_a_complex_link_to_a_multi_antenna_precoder():
+    # a complex h stands for a one-antenna transmitter
+    with pytest.raises(ValueError):
+        received_power(1.0, 1.0, 0.6 + 0.8j, np.full((4, 1), 0.5, dtype=complex))
 
 
 # ---- SINR -----------------------------------------------------------------------
