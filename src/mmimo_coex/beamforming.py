@@ -40,12 +40,14 @@ class CovarianceSubspace:
 
 
 def matched_filter(h, user=None):
-    """Single-stream precoder aligned with the user channel: W = h / ||h||.
-    `h` may be a vector or, for a single-antenna AP, a complex number."""
+    """Single-stream precoder aligned with the user channel: W = h / ||h||,
+    zero forcing's precoder for one user. `h` may be a vector or, for a
+    single-antenna AP, a complex number. A zero or non-finite channel raises
+    SingularChannelError."""
     h = np.asarray(h, dtype=complex).reshape(-1, 1)
     norm = math.sqrt(np.vdot(h, h).real)
-    if norm == 0.0:
-        raise ValueError("matched filter undefined for a zero channel")
+    if not 0.0 < norm < math.inf:
+        raise SingularChannelError("matched filter undefined for a zero or non-finite channel")
     return PrecoderSet(W=h / norm, user_map=() if user is None else (user,))
 
 

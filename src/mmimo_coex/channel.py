@@ -163,10 +163,8 @@ class ChannelTable:
         pl_pairs = path_loss_db(d_pairs, los_pairs, config.carrier_ghz, los_coef, nlos_coef)
 
         self.los = _symmetric(los_pairs, False, pair_of)
-        slow_db_pairs = -(pl_pairs + shadow_pairs)
-        self.slow_gain_db = _symmetric(slow_db_pairs, 0.0, pair_of)
         # exponentiated on the pairs; no gain from a node to itself
-        self.slow_gain = _symmetric(db_to_linear(slow_db_pairs), 0.0, pair_of)
+        self.slow_gain = _symmetric(db_to_linear(-(pl_pairs + shadow_pairs)), 0.0, pair_of)
 
         self._rng = None
         self._pairs = {}  # (low id, high id) -> coefficient seen by the low id

@@ -130,11 +130,9 @@ class RoundMedium:
 
     def busy_receiving(self, node_id):
         """An AP whose own-cell STA already won an UL grant is mid-reception
-        and does not perform CCA this round (no access attempt)."""
-        if self._node(node_id).role != ROLE_AP:
-            return False
-        own = self.drop.sched.served[node_id]
-        return any(t in own for t in self.active)
+        and does not perform CCA this round (no access attempt); a STA never is."""
+        cell_of = self.drop.sched.cell_of
+        return any(cell_of.get(t) == node_id for t in self.active)
 
     def _source_power(self, rx_id, tx_id):
         table = self.drop.table
@@ -194,9 +192,8 @@ class RoundMedium:
         each at its maximum power, add to the noise floor over x's listening
         window (all of their span when r <= n_nulls), with no covariance formed."""
         if self._subspace is None:
-            table = self.drop.table
-            own_cell = set(self.drop.sched.served[x_id])
-            ids = [nd.id for nd in self.drop.nodes if nd.id != x_id and nd.id not in own_cell]
+            table, cell_of = self.drop.table, self.drop.sched.cell_of
+            ids = [j for j in range(table.n) if j != x_id and cell_of.get(j) != x_id]
             amps = np.sqrt(np.take(self.drop.max_power_mw, ids) * table.slow_gain[x_id, ids])
             a = table.array_rows(ids).T * amps
             self._n_coexisting = len(ids)
@@ -247,6 +244,9 @@ class RoundMedium:
             # one C-ordered column per user: BLAS results can depend on the layout
             h_users = np.ascontiguousarray(table.array_rows(users).T)
             try:
+                if len(users) == 1 and not u_null.shape[1]:
+                    # zero forcing of one user without nulls is the matched filter
+                    return beamforming.matched_filter(h_users, user=users[0])
                 return beamforming.zf_with_nulls(h_users, u_null, user_map=users)
             except SingularChannelError:
                 if len(users) == 1:
@@ -270,7 +270,8 @@ def _weakest_column(h_users, u_null):
 
 def init_drop(config, seed):
     """Build one deployment realization with its slow-fading state; association
-    and the user partition read the table's (row = STA, column = AP) gains."""
+    and the user partition read one (row = STA, column = AP) matrix of received
+    powers in mW at the APs' maximum power."""
     rng = np.random.default_rng(seed)
     nodes = generate_drop(config, rng)
     table = ChannelTable(nodes, config, rng)
@@ -280,16 +281,16 @@ def init_drop(config, seed):
     )
     level_mw = {p: float(dbm_to_mw(p)) for p in {nd.max_power_dbm for nd in nodes}}  # one per distinct level
 
+    rx_mw = level_mw[config.ap_max_power_dbm] * table.slow_gain[3:, :3]  # (STA, AP) at maximum AP power
     served = {a: [] for a in range(3)}
-    for sta_id, a in enumerate(associate(config.ap_max_power_dbm + table.slow_gain_db[3:, :3]).tolist(), start=3):
+    for sta_id, a in enumerate(associate(rx_mw).tolist(), start=3):
         served[a].append(sta_id)
     served = {a: tuple(cell) for a, cell in served.items()}
     k_max = {a.id: config.max_streams if a.num_antennas > 1 else 1 for a in nodes[:3]}
     sched = mac.SchedulerState(served=served, k_max=k_max)
     if config.scenario == "C":
-        central = list(served[CENTRAL_AP])
-        rx_mw = float(dbm_to_mw(config.ap_max_power_dbm)) * table.slow_gain[central, :3]
-        betas = dict(zip(central, mac.vulnerability(rx_mw, CENTRAL_AP, link.noise_sta_mw)))
+        central = served[CENTRAL_AP]
+        betas = dict(zip(central, mac.vulnerability(rx_mw[[s - 3 for s in central]], CENTRAL_AP, link.noise_sta_mw)))
         sched.elbt_set, sched.lbt_set = mac.partition_by_vulnerability(betas, config.elbt_fraction)
 
     return DropState(
@@ -308,7 +309,7 @@ def run_round(drop, round_index):
     cfg = drop.config
     rng = drop.rng
     drop.table.resample(rng)
-    traffic = mac.draw_traffic(drop.stas, cfg.p_tr, rng, cfg.ul_fraction)
+    traffic = mac.draw_traffic(drop.sched, cfg.p_tr, rng, cfg.ul_fraction)
     phase = mac.phase_pattern(round_index, cfg.elbt_fraction, cfg.pattern_period) if cfg.scenario == "C" else None
     medium = RoundMedium(drop, traffic, phase)
 

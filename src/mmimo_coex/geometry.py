@@ -80,7 +80,8 @@ def generate_drop(config, seed):
     return nodes
 
 
-def associate(rss_dbm):
-    """Serving AP of every STA: the column of the largest average RSS in its
-    row of `rss_dbm` (STA x AP, dBm). Exact RSS ties go to the lowest AP id."""
-    return np.argmax(rss_dbm, axis=1)
+def associate(rx_mw):
+    """Serving AP of every STA: the column of the largest average received
+    power in its row of `rx_mw` (STA x AP, mW, before fast fading). Exact
+    ties go to the lowest AP id."""
+    return np.argmax(rx_mw, axis=1)

@@ -15,16 +15,11 @@ DEFER_PREAMBLE = "preamble"
 
 @dataclass
 class TrafficState:
-    """Round snapshot of which STAs hold traffic and in which direction.
+    """Round snapshot of which STAs hold traffic: per AP id, the ascending
+    lists of its cell's STAs holding DL and UL traffic."""
 
-    `cells` caches, per cell (keyed by its tuple of served STAs), the sorted
-    lists of its STAs holding DL and UL traffic, built on the round's first
-    query so that later queries neither intersect sets nor sort.
-    """
-
-    active_dl: frozenset
-    active_ul: frozenset
-    cells: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    dl: dict  # ap_id -> list of sta_ids
+    ul: dict  # ap_id -> list of sta_ids
 
 
 @dataclass
@@ -38,7 +33,8 @@ class AccessAttempt:
 
 @dataclass
 class SchedulerState:
-    """Per-drop scheduler bookkeeping (served sets, partitions, RR cursors)."""
+    """Per-drop scheduler bookkeeping (served sets, partitions, RR cursors).
+    `cell_of` maps each served STA to its AP, in ascending STA id."""
 
     served: dict  # ap_id -> tuple of sta_ids
     k_max: dict  # ap_id -> max simultaneous DL streams
@@ -46,19 +42,25 @@ class SchedulerState:
     lbt_set: frozenset = frozenset()  # vulnerable users, served after plain LBT
     dl_cursor: dict = field(default_factory=dict)
     ul_cursor: dict = field(default_factory=dict)
+    cell_of: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.cell_of = dict(sorted((s, a) for a, cell in self.served.items() for s in cell))
 
 
-def draw_traffic(stas, p_tr, rng, ul_fraction=0.2):
-    """Independent Bernoulli(p_tr) traffic per STA; active STAs intend UL with
-    probability ul_fraction for this round, DL otherwise."""
+def draw_traffic(state, p_tr, rng, ul_fraction=0.2):
+    """Independent Bernoulli(p_tr) traffic per served STA, in ascending id;
+    active STAs intend UL with probability ul_fraction for this round, DL
+    otherwise."""
     if not 0.0 <= p_tr <= 1.0:
         raise ValueError("p_tr must lie in [0, 1]")
-    u_active, u_uplink = rng.random((2, len(stas))).tolist()  # the values of two calls of n
-    dl, ul = [], []
-    for sta, a, b in zip(stas, u_active, u_uplink):
-        if a < p_tr:
-            (ul if b < ul_fraction else dl).append(sta.id)
-    return TrafficState(active_dl=frozenset(dl), active_ul=frozenset(ul))
+    u_active, u_uplink = rng.random((2, len(state.cell_of))).tolist()  # the values of two calls of n
+    dl = {a: [] for a in state.served}
+    ul = {a: [] for a in state.served}
+    for (sta, a), x, y in zip(state.cell_of.items(), u_active, u_uplink):
+        if x < p_tr:
+            (ul if y < ul_fraction else dl)[a].append(sta)
+    return TrafficState(dl=dl, ul=ul)
 
 
 def energy_detect(total_rx_power, gamma_lbt):
@@ -108,23 +110,11 @@ def _rotate(candidates, cursor, k):
     return wrapped[:k]
 
 
-def _cell_traffic(ap_id, traffic, state):
-    """The sorted lists of the cell's STAs holding DL and UL traffic, sorted
-    once per round and cell (see `TrafficState.cells`)."""
-    served = state.served[ap_id]
-    cell = traffic.cells.get(served)
-    if cell is None:
-        ids = sorted(served)
-        dl, ul = traffic.active_dl, traffic.active_ul
-        cell = traffic.cells[served] = ([s for s in ids if s in dl], [s for s in ids if s in ul])
-    return cell
-
-
 def dl_candidates(ap_id, traffic, state, phase=None):
-    """The cell's STAs holding DL traffic, in ascending id order (a list the
-    round's queries share); when `phase` is given, only those in the matching
+    """The cell's STAs holding DL traffic, in ascending id order (the round's
+    list itself); when `phase` is given, only those in the matching
     eLBT/LBT partition subset."""
-    cands = _cell_traffic(ap_id, traffic, state)[0]
+    cands = traffic.dl[ap_id]
     if phase == MODE_ELBT:
         return [s for s in cands if s in state.elbt_set]
     if phase == MODE_LBT:
@@ -147,7 +137,7 @@ def schedule(ap_id, traffic, state, phase=None):
 
 def select_ul_sta(ap_id, traffic, state):
     """Round-robin choice of the single STA contending for UL in this cell."""
-    cands = _cell_traffic(ap_id, traffic, state)[1]
+    cands = traffic.ul[ap_id]
     if not cands:
         return None
     picked = _rotate(cands, state.ul_cursor.get(ap_id, 0), 1)[0]

@@ -41,6 +41,10 @@ def test_matched_filter_scalar_unit_modulus():
 def test_matched_filter_rejects_zero():
     with pytest.raises(ValueError):
         matched_filter(np.zeros(4))
+    # zero forcing's rank test voids the same channels: zero, overflowing or NaN
+    for h in (np.zeros(4), np.full(4, 1e200), np.array([1.0, np.nan, 0.0, 0.0]), complex("inf")):
+        with pytest.raises(SingularChannelError):
+            matched_filter(h)
 
 
 # ---- zero forcing ------------------------------------------------------------

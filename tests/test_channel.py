@@ -280,8 +280,8 @@ def test_channel_table_slow_gain_uses_configured_path_loss():
     for a, b in zip(*np.triu_indices(len(nodes), 1)):
         d = math.dist(nodes[a].position, nodes[b].position)
         pl = path_loss_db(d, table.los[a, b], cfg.carrier_ghz, (30.0, 20.0), (15.0, 40.0))
-        assert table.slow_gain_db[a, b] == pytest.approx(-pl, rel=1e-12)
-        assert table.slow_gain_db[b, a] == table.slow_gain_db[a, b]
+        assert 10.0 * math.log10(table.slow_gain[a, b]) == pytest.approx(-pl, rel=1e-12)
+        assert table.slow_gain[b, a] == table.slow_gain[a, b]
 
 
 def test_channel_table_rejects_two_arrays():

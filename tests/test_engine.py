@@ -149,7 +149,7 @@ def test_elbt_without_nulls_equals_lbt_sensing():
     cfg = ScenarioConfig(scenario="C", n_nulls=0, p_tr=1.0, n_drops=1, n_rounds=1, seed=13)
     drop = init_drop(cfg, np.random.SeedSequence(21))
     drop.table.resample(drop.rng)
-    traffic = mac.draw_traffic(drop.stas, 1.0, drop.rng)
+    traffic = mac.draw_traffic(drop.sched, 1.0, drop.rng)
     medium = RoundMedium(drop, traffic, mac.MODE_ELBT)
     for sta in (5, 9, 20):
         medium.activate(sta, cca_slot=0)
@@ -238,7 +238,7 @@ def _elbt_subspace(seed, **overrides):
     cfg = ScenarioConfig(scenario="C", p_tr=1.0, n_drops=1, n_rounds=1, seed=13, **overrides)
     drop = init_drop(cfg, np.random.SeedSequence(seed))
     drop.table.resample(drop.rng)
-    medium = RoundMedium(drop, mac.draw_traffic(drop.stas, 1.0, drop.rng), mac.MODE_ELBT)
+    medium = RoundMedium(drop, mac.draw_traffic(drop.sched, 1.0, drop.rng), mac.MODE_ELBT)
     sub = medium._covariance_subspace(CENTRAL_AP)
     own_cell = set(drop.sched.served[CENTRAL_AP])
     ids = [nd.id for nd in drop.nodes if nd.id != CENTRAL_AP and nd.id not in own_cell]
@@ -389,7 +389,7 @@ def test_duplicate_user_channel_drops_one_of_the_pair(monkeypatch, n_nulls):
     cfg = ScenarioConfig(scenario="C", n_nulls=n_nulls, p_tr=1.0, n_drops=1, n_rounds=1, seed=13)
     drop = init_drop(cfg, np.random.SeedSequence(21))
     drop.table.resample(drop.rng)
-    medium = RoundMedium(drop, mac.draw_traffic(drop.stas, 1.0, drop.rng), mac.MODE_ELBT)
+    medium = RoundMedium(drop, mac.draw_traffic(drop.sched, 1.0, drop.rng), mac.MODE_ELBT)
     u_null = medium._covariance_subspace(CENTRAL_AP).dominant
     a, b, c = drop.sched.served[CENTRAL_AP][:3]
     real_rows = drop.table.array_rows
@@ -410,13 +410,59 @@ def test_lone_user_with_zero_channel_voids_the_grant(monkeypatch):
     drop = init_drop(cfg, np.random.SeedSequence(21))
     drop.table.resample(drop.rng)
     user = drop.sched.served[CENTRAL_AP][0]
-    traffic = mac.TrafficState(active_dl=frozenset({user}), active_ul=frozenset())
+    traffic = mac.TrafficState(dl={0: [], CENTRAL_AP: [user], 2: []}, ul={0: [], CENTRAL_AP: [], 2: []})
     medium = RoundMedium(drop, traffic, None)
     monkeypatch.setattr(drop.table, "array_rows", lambda ids: np.zeros((len(ids), cfg.mmimo_antennas), dtype=complex))
     (attempt,) = mac.contend([(CENTRAL_AP, mac.MODE_LBT)], medium, drop.rng, cfg.cw_slots)
     assert not attempt.granted and attempt.defer_cause == mac.DEFER_NONE
     assert medium.active == [] and medium.scheduled == {}
     assert medium.activate(CENTRAL_AP) is False
+
+
+def test_lone_user_takes_the_matched_filter_that_zero_forcing_gives(monkeypatch):
+    cfg = ScenarioConfig(scenario="B", p_tr=1.0, n_drops=1, n_rounds=1, seed=13)
+    real_zf, no_nulls = beamforming.zf_with_nulls, np.empty((cfg.mmimo_antennas, 0), dtype=complex)
+    for seed in range(4):
+        drop = init_drop(cfg, np.random.SeedSequence(seed))
+        drop.table.resample(drop.rng)
+        medium = RoundMedium(drop, mac.draw_traffic(drop.sched, 1.0, drop.rng), None)
+        ap = drop.nodes[CENTRAL_AP]
+        for user in drop.sched.served[CENTRAL_AP][:3]:
+            h = drop.table.array_rows([user]).T
+            assert h.shape == (36, 1)
+            reference = real_zf(h, no_nulls, user_map=(user,))
+            with monkeypatch.context() as m:
+                m.setattr(beamforming, "zf_with_nulls", None)  # the lone user must not reach it
+                precoder = medium._build_precoder(ap, [user], no_nulls)
+            assert precoder.user_map == (user,) and precoder.W.shape == (36, 1)
+            assert np.max(np.abs(precoder.W - reference.W)) <= 1e-12
+
+
+def test_lone_elbt_user_with_nulls_still_zero_forces():
+    cfg = ScenarioConfig(scenario="C", p_tr=1.0, n_drops=1, n_rounds=1, seed=13)
+    drop = init_drop(cfg, np.random.SeedSequence(21))
+    drop.table.resample(drop.rng)
+    medium = RoundMedium(drop, mac.draw_traffic(drop.sched, 1.0, drop.rng), mac.MODE_ELBT)
+    u_null = medium._covariance_subspace(CENTRAL_AP).dominant
+    assert u_null.shape[1] > 0
+    user = sorted(drop.sched.elbt_set)[0]
+    precoder = medium._build_precoder(drop.nodes[CENTRAL_AP], [user], u_null)
+    h = np.ascontiguousarray(drop.table.array_rows([user]).T)
+    assert np.linalg.norm(u_null.conj().T @ precoder.W) <= 1e-12
+    assert np.array_equal(precoder.W, beamforming.zf_with_nulls(h, u_null, user_map=(user,)).W)
+    # the nulls cost the user some of its matched-filter gain
+    assert abs(np.vdot(h, precoder.W)) < np.linalg.norm(h) * (1.0 - 1e-6)
+
+
+def test_only_the_ap_of_an_uplink_sta_is_busy_receiving():
+    cfg = ScenarioConfig(scenario="B", p_tr=1.0, n_drops=1, n_rounds=1, seed=13)
+    drop = init_drop(cfg, np.random.SeedSequence(21))
+    drop.table.resample(drop.rng)
+    for ap in range(3):
+        medium = RoundMedium(drop, mac.draw_traffic(drop.sched, 1.0, drop.rng), None)
+        assert not any(medium.busy_receiving(nd.id) for nd in drop.nodes)
+        assert medium.activate(drop.sched.served[ap][0])
+        assert [nd.id for nd in drop.nodes if medium.busy_receiving(nd.id)] == [ap]
 
 
 @pytest.mark.parametrize(
@@ -600,7 +646,6 @@ def test_drop_setup_matches_per_node_reference(scenario, overrides):
         nodes, los, slow_db, slow, served, partition = _reference_setup(cfg, seq)
         assert drop.nodes == nodes
         assert np.array_equal(drop.table.los, los)
-        assert np.array_equal(drop.table.slow_gain_db, slow_db)
         assert np.array_equal(drop.table.slow_gain, slow)
         assert drop.sched.served == served
         assert (drop.sched.elbt_set, drop.sched.lbt_set) == partition
@@ -609,7 +654,7 @@ def test_drop_setup_matches_per_node_reference(scenario, overrides):
         assert drop.link.noise_sta_mw == phy.noise_power(cfg.bandwidth_hz, cfg.sta_noise_figure_db, cfg.noise_psd_dbm_hz)
         assert drop.link.noise_ap_mw == phy.noise_power(cfg.bandwidth_hz, cfg.ap_noise_figure_db, cfg.noise_psd_dbm_hz)
         assert drop.link.rate_table == phy.RateTable(cfg.rate_table)
-        medium = RoundMedium(drop, mac.draw_traffic(drop.stas, cfg.p_tr, drop.rng), None)
+        medium = RoundMedium(drop, mac.draw_traffic(drop.sched, cfg.p_tr, drop.rng), None)
         assert medium.gamma_lbt == float(dbm_to_mw(cfg.gamma_lbt_dbm))
         assert medium.gamma_preamble == float(dbm_to_mw(cfg.gamma_preamble_dbm))
         assert medium.preamble_min_sinr == float(db_to_linear(cfg.preamble_min_sinr_db))

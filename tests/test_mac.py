@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from mmimo_coex import mac
-from mmimo_coex.geometry import NodeDescriptor, ROLE_STA
 from mmimo_coex.units import dbm_to_mw
 
 
-def stas(n):
-    return [NodeDescriptor(3 + i, ROLE_STA, (float(i), 0.0, 1.5), 1, 18.0) for i in range(n)]
+def one_cell(n):
+    """A scheduler state whose AP 0 serves the n STAs 3 .. n + 2."""
+    return mac.SchedulerState(served={0: tuple(range(3, 3 + n))}, k_max={0: 1})
 
 
 # ---- traffic -------------------------------------------------------------------
@@ -15,32 +15,67 @@ def stas(n):
 
 def test_traffic_extremes():
     rng = np.random.default_rng(0)
-    all_on = mac.draw_traffic(stas(20), 1.0, rng)
-    assert len(all_on.active_dl | all_on.active_ul) == 20
-    none = mac.draw_traffic(stas(20), 0.0, rng)
-    assert not none.active_dl | none.active_ul
+    all_on = mac.draw_traffic(one_cell(20), 1.0, rng)
+    assert len(all_on.dl[0] + all_on.ul[0]) == 20
+    none = mac.draw_traffic(one_cell(20), 0.0, rng)
+    assert not none.dl[0] + none.ul[0]
 
 
 def test_traffic_activity_rate():
     rng = np.random.default_rng(1)
     n, p = 100_000, 0.1
-    state = mac.draw_traffic(stas(n), p, rng)
-    rate = len(state.active_dl | state.active_ul) / n
+    state = mac.draw_traffic(one_cell(n), p, rng)
+    rate = (len(state.dl[0]) + len(state.ul[0])) / n
     se = np.sqrt(p * (1 - p) / n)
     assert abs(rate - p) < 3 * se
 
 
 def test_traffic_direction_split():
     rng = np.random.default_rng(2)
-    state = mac.draw_traffic(stas(100_000), 1.0, rng, ul_fraction=0.2)
-    ul_share = len(state.active_ul) / 100_000
+    state = mac.draw_traffic(one_cell(100_000), 1.0, rng, ul_fraction=0.2)
+    ul_share = len(state.ul[0]) / 100_000
     assert abs(ul_share - 0.2) < 3 * np.sqrt(0.2 * 0.8 / 100_000)
-    assert not (state.active_dl & state.active_ul)
+    assert not set(state.dl[0]) & set(state.ul[0])
 
 
 def test_traffic_rejects_bad_probability():
     with pytest.raises(ValueError):
-        mac.draw_traffic(stas(1), 1.5, np.random.default_rng(0))
+        mac.draw_traffic(one_cell(1), 1.5, np.random.default_rng(0))
+
+
+def _three_cells(seed, n=40):
+    """A scheduler state of n STAs (ids 3 .. n + 2) served by APs 0-2 at
+    random, each cell's tuple in shuffled order."""
+    rng = np.random.default_rng(seed)
+    cell = rng.integers(0, 3, n)
+    served = {a: tuple(int(s) for s in rng.permutation(np.flatnonzero(cell == a) + 3)) for a in range(3)}
+    return mac.SchedulerState(served=served, k_max={0: 1, 1: 4, 2: 1})
+
+
+def test_cell_of_inverts_served_in_ascending_sta_order():
+    state = _three_cells(8)
+    assert list(state.cell_of) == sorted(state.cell_of) == list(range(3, 43))
+    assert all(state.cell_of[s] == a for a, cell in state.served.items() for s in cell)
+
+
+@pytest.mark.parametrize("p_tr", [0.1, 1.0])
+def test_draw_traffic_matches_an_inline_reference(p_tr):
+    # The reference draws random((2, n)) from the same generator state and
+    # decides each STA in ascending id: active iff u < p_tr, then UL iff v < 0.2.
+    state = _three_cells(9)
+    rng, ref_rng = np.random.default_rng(31), np.random.default_rng(31)
+    for _ in range(20):
+        traffic = mac.draw_traffic(state, p_tr, rng, ul_fraction=0.2)
+        u, v = ref_rng.random((2, len(state.cell_of)))
+        ref = {s: None if u[i] >= p_tr else ("ul" if v[i] < 0.2 else "dl") for i, s in enumerate(sorted(state.cell_of))}
+        got = []
+        for a in range(3):
+            for kind, lists in (("dl", traffic.dl), ("ul", traffic.ul)):
+                assert lists[a] == sorted(lists[a])
+                assert all(state.cell_of[s] == a for s in lists[a])
+                got += [(s, kind) for s in lists[a]]
+        assert sorted(got) == [(s, kind) for s, kind in ref.items() if kind is not None]
+    assert rng.random() == ref_rng.random()  # the same number of uniforms taken
 
 
 # ---- detection -----------------------------------------------------------------
@@ -132,7 +167,7 @@ def scheduler(served, k_max, elbt=(), lbt=()):
 
 
 def traffic_dl(ids):
-    return mac.TrafficState(active_dl=frozenset(ids), active_ul=frozenset())
+    return mac.TrafficState(dl={0: sorted(ids)}, ul={0: []})
 
 
 def test_schedule_caps_by_availability():
@@ -165,7 +200,7 @@ def test_schedule_round_robin_cycles():
 
 def test_select_ul_rotates():
     state = scheduler([3, 4, 5], 1)
-    t = mac.TrafficState(active_dl=frozenset(), active_ul=frozenset([3, 4, 5]))
+    t = mac.TrafficState(dl={0: []}, ul={0: [3, 4, 5]})
     picks = [mac.select_ul_sta(0, t, state) for _ in range(6)]
     assert picks == [3, 4, 5, 3, 4, 5]
     assert mac.select_ul_sta(0, traffic_dl([3]), state) is None
