@@ -1,8 +1,9 @@
 """Scoped control of the thread count of the OpenBLAS that numpy loaded.
 
-Every matrix in a round is at most one array wide (36 on the default floor),
-too small for OpenBLAS to gain from a second thread; once woken, its worker
-thread spins on another core for the rest of the run.
+On large arrays (100 antennas and more) OpenBLAS splits a product across its
+threads, which changes the last bits of the results and spends CPU time on a
+second core; one thread keeps a run's outputs the same whatever thread count
+the host or the caller set.
 """
 
 import ctypes

@@ -84,11 +84,6 @@ def received_covariance(x, active, links, powers, noise_power=0.0):
     return (z + z.conj().T) / 2.0
 
 
-# A scalar link is a one-element aperture at the origin: of its planar
-# wavefront only the LOS phase survives, so `_draw_block` skips the steering.
-_SCALAR_GRID = np.array([[0.0], [0.0], [1.0]])
-
-
 @functools.lru_cache(maxsize=8)
 def _upper_pairs(n):
     """Row and column indices of the n(n-1)/2 node pairs (i < j), and the
@@ -194,17 +189,18 @@ class ChannelTable:
             self._row_ready = [False] * self.n
             self._row_ready[self.array_node] = True
 
-    def _draw_block(self, size, grid):
+    def _draw_block(self, size, grid=None):
         """Fading of `size` slots over the aperture `grid`, shape (2, size, M):
         [0] under the NLOS law (Rayleigh), [1] under the LOS law (unit-power
         Ricean, its K-factor in dB a standard normal mapped onto the
         configured law, plus a planar wavefront at a uniform direction).
-        On `_SCALAR_GRID` the draws are the same and the wavefront is the
-        LOS phase alone, bit for bit what the steering product gives."""
-        m = grid.shape[1]
+        With no grid, a scalar link's one element at the origin, M = 1: the
+        draws are the same and the wavefront is the LOS phase alone, bit for
+        bit what the steering product gives."""
+        m = 1 if grid is None else grid.shape[1]
         z = self._rng.standard_normal((size, 2 * m + 1))
         az, cos_el, psi = self._rng.random((3, size))
-        if grid is _SCALAR_GRID:
+        if grid is None:
             steer = np.exp(1j * (2.0 * math.pi * psi))[:, None]
         else:
             az *= 2.0 * math.pi
@@ -223,7 +219,7 @@ class ChannelTable:
         if h is None:
             slot = self._pair_slot
             if slot == len(self._pair_block):
-                self._pair_block = self._draw_block(self.n, _SCALAR_GRID)[:, :, 0].T.tolist()
+                self._pair_block = self._draw_block(self.n)[:, :, 0].T.tolist()
                 slot = 0
             self._pair_slot = slot + 1
             h = self._pairs[key] = self._pair_block[slot][self.los.item(key)]

@@ -96,17 +96,17 @@ class RoundMedium:
     threshold applies to every aperture size. Activating an AP schedules its
     users and freezes its precoder, so later contenders sense the actual
     radiated signal (including any radiation nulls). `phase` is the nulling
-    AP's LBT/eLBT phase this round in scenario C, and None otherwise.
+    AP's LBT/eLBT phase this round in scenario C, and None otherwise. Each
+    AP's DL candidates are decided once, in `candidates`, for both contention
+    and scheduling.
     """
 
     def __init__(self, drop, traffic, phase):
         self.drop = drop
         self.cfg = drop.config
-        self.traffic = traffic
+        self.link = drop.link  # the CCA thresholds `mac.contend` reads
         self.phase = phase
-        self.gamma_lbt = drop.link.gamma_lbt
-        self.gamma_preamble = drop.link.gamma_preamble
-        self.preamble_min_sinr = drop.link.preamble_min_sinr
+        self.candidates = {ap.id: mac.dl_candidates(ap.id, traffic, drop.sched, phase) for ap in drop.aps}
         self.active = []
         self.powers = {}
         self.precoders = {}
@@ -123,10 +123,6 @@ class RoundMedium:
     def access_mode(self, ap_id):
         """eLBT for the nulling AP in its eLBT phase, plain LBT otherwise."""
         return mac.MODE_ELBT if ap_id == CENTRAL_AP and self.phase == mac.MODE_ELBT else mac.MODE_LBT
-
-    def partition_phase(self, ap_id):
-        """The phase whose user partition filters this AP's DL candidates, or None."""
-        return self.phase if ap_id == CENTRAL_AP and self.cfg.partition_enabled else None
 
     def busy_receiving(self, node_id):
         """An AP whose own-cell STA already won an UL grant is mid-reception
@@ -220,7 +216,7 @@ class RoundMedium:
         if self.access_mode(ap.id) == mac.MODE_ELBT:
             u_null = self._covariance_subspace(ap.id).dominant
         n_nulls = u_null.shape[1]
-        users = mac.schedule(ap.id, self.traffic, self.drop.sched, self.partition_phase(ap.id))
+        users = mac.schedule(ap.id, self.candidates[ap.id], self.drop.sched)
         if not users:
             return False
         precoder = self._build_precoder(ap, users, u_null)
@@ -288,10 +284,11 @@ def init_drop(config, seed):
     served = {a: tuple(cell) for a, cell in served.items()}
     k_max = {a.id: config.max_streams if a.num_antennas > 1 else 1 for a in nodes[:3]}
     sched = mac.SchedulerState(served=served, k_max=k_max)
-    if config.scenario == "C":
+    if config.scenario == "C" and config.partition_enabled:
         central = served[CENTRAL_AP]
         betas = dict(zip(central, mac.vulnerability(rx_mw[[s - 3 for s in central]], CENTRAL_AP, link.noise_sta_mw)))
-        sched.elbt_set, sched.lbt_set = mac.partition_by_vulnerability(betas, config.elbt_fraction)
+        split = mac.partition_by_vulnerability(betas, config.elbt_fraction)
+        sched.partition[CENTRAL_AP] = dict(zip((mac.MODE_ELBT, mac.MODE_LBT), split))
 
     return DropState(
         config=config,
@@ -313,11 +310,7 @@ def run_round(drop, round_index):
     phase = mac.phase_pattern(round_index, cfg.elbt_fraction, cfg.pattern_period) if cfg.scenario == "C" else None
     medium = RoundMedium(drop, traffic, phase)
 
-    contenders = [
-        (ap.id, medium.access_mode(ap.id))
-        for ap in drop.aps
-        if mac.dl_candidates(ap.id, traffic, drop.sched, medium.partition_phase(ap.id))
-    ]
+    contenders = [(ap.id, medium.access_mode(ap.id)) for ap in drop.aps if medium.candidates[ap.id]]
     for ap in drop.aps:
         ul_sta = mac.select_ul_sta(ap.id, traffic, drop.sched)
         if ul_sta is not None:

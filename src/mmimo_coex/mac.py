@@ -33,13 +33,12 @@ class AccessAttempt:
 
 @dataclass
 class SchedulerState:
-    """Per-drop scheduler bookkeeping (served sets, partitions, RR cursors).
-    `cell_of` maps each served STA to its AP, in ascending STA id."""
+    """Per-drop scheduler bookkeeping (served sets, the user partition, RR
+    cursors). `cell_of` maps each served STA to its AP, in ascending STA id."""
 
     served: dict  # ap_id -> tuple of sta_ids
     k_max: dict  # ap_id -> max simultaneous DL streams
-    elbt_set: frozenset = frozenset()  # interference-resilient users of the nulling AP
-    lbt_set: frozenset = frozenset()  # vulnerable users, served after plain LBT
+    partition: dict = field(default_factory=dict)  # ap_id -> {phase: frozenset of the sta_ids it serves then}
     dl_cursor: dict = field(default_factory=dict)
     ul_cursor: dict = field(default_factory=dict)
     cell_of: dict = field(init=False, repr=False, compare=False)
@@ -102,47 +101,34 @@ def phase_pattern(round_index, elbt_fraction=0.4, period=5):
     return MODE_ELBT if (round_index % period) < n_elbt else MODE_LBT
 
 
-def _rotate(candidates, cursor, k):
-    if not candidates:
-        return []
-    start = cursor % len(candidates)
-    wrapped = candidates[start:] + candidates[:start]
-    return wrapped[:k]
+def _round_robin(cursors, ap_id, candidates, k):
+    """The k (at most all) candidates from this AP's cursor on, wrapping
+    around; the cursor moves on by k."""
+    start = cursors.get(ap_id, 0)
+    cursors[ap_id] = start + k
+    return [candidates[(start + i) % len(candidates)] for i in range(k)]
 
 
-def dl_candidates(ap_id, traffic, state, phase=None):
-    """The cell's STAs holding DL traffic, in ascending id order (the round's
-    list itself); when `phase` is given, only those in the matching
-    eLBT/LBT partition subset."""
+def dl_candidates(ap_id, traffic, state, phase):
+    """The cell's STAs holding DL traffic, in ascending id order: the round's
+    list itself, or for an AP with a user partition only those that `phase`
+    serves."""
     cands = traffic.dl[ap_id]
-    if phase == MODE_ELBT:
-        return [s for s in cands if s in state.elbt_set]
-    if phase == MODE_LBT:
-        return [s for s in cands if s in state.lbt_set]
-    return cands
+    split = state.partition.get(ap_id)
+    return cands if split is None else [s for s in cands if s in split[phase]]
 
 
-def schedule(ap_id, traffic, state, phase=None):
-    """Pick this round's DL users for a granted AP (round robin).
-
-    Single-antenna APs serve one user; the spatial-multiplexing AP serves up
-    to its stream budget. `phase` filters candidates as in `dl_candidates`.
-    """
-    cands = dl_candidates(ap_id, traffic, state, phase)
-    k = min(state.k_max[ap_id], len(cands))
-    picked = _rotate(cands, state.dl_cursor.get(ap_id, 0), k)
-    state.dl_cursor[ap_id] = state.dl_cursor.get(ap_id, 0) + k
-    return picked
+def schedule(ap_id, candidates, state):
+    """Pick this round's DL users for a granted AP from its `dl_candidates`
+    (round robin). Single-antenna APs serve one user; the
+    spatial-multiplexing AP serves up to its stream budget."""
+    return _round_robin(state.dl_cursor, ap_id, candidates, min(state.k_max[ap_id], len(candidates)))
 
 
 def select_ul_sta(ap_id, traffic, state):
     """Round-robin choice of the single STA contending for UL in this cell."""
     cands = traffic.ul[ap_id]
-    if not cands:
-        return None
-    picked = _rotate(cands, state.ul_cursor.get(ap_id, 0), 1)[0]
-    state.ul_cursor[ap_id] = state.ul_cursor.get(ap_id, 0) + 1
-    return picked
+    return _round_robin(state.ul_cursor, ap_id, cands, 1)[0] if cands else None
 
 
 def contend(contenders, medium, rng, cw=16):
@@ -162,10 +148,8 @@ def contend(contenders, medium, rng, cw=16):
     activated on the medium and transmit for the whole round.
     """
     backoffs = (rng.random(len(contenders)) * cw).astype(int).tolist()
-    order = sorted(
-        ((b, node_id, mode) for (node_id, mode), b in zip(contenders, backoffs)),
-        key=lambda t: (t[0], t[1]),
-    )
+    # node ids are unique, so the tuples sort by (backoff, node id) alone
+    order = sorted((b, node_id, mode) for (node_id, mode), b in zip(contenders, backoffs))
     attempts = []
     for backoff, node_id, mode in order:
         if medium.busy_receiving(node_id):
@@ -174,9 +158,9 @@ def contend(contenders, medium, rng, cw=16):
             total, per_source = medium.residual_rx(node_id, backoff)
         else:
             total, per_source = medium.sensed_rx(node_id, backoff)
-        if not energy_detect(total, medium.gamma_lbt):
+        if not energy_detect(total, medium.link.gamma_lbt):
             cause, granted = DEFER_ENERGY, False
-        elif preamble_detect(per_source, medium.gamma_preamble, medium.preamble_min_sinr):
+        elif preamble_detect(per_source, medium.link.gamma_preamble, medium.link.preamble_min_sinr):
             cause, granted = DEFER_PREAMBLE, False
         else:
             cause = DEFER_NONE

@@ -465,9 +465,9 @@ def test_drop_hands_out_each_slot_once(scenario, monkeypatch):
     blocks = {1: [], 36: []}  # aperture size -> the blocks drawn, in order
     real_draw = ChannelTable._draw_block
 
-    def spy(self, size, grid):
+    def spy(self, size, grid=None):
         block = real_draw(self, size, grid)
-        blocks[grid.shape[1]].append(block)
+        blocks[block.shape[2]].append(block)
         return block
 
     monkeypatch.setattr(ChannelTable, "_draw_block", spy)

@@ -1,3 +1,4 @@
+import os
 import warnings
 
 import numpy as np
@@ -357,6 +358,30 @@ def test_drops_run_on_one_blas_thread(monkeypatch):
         set_(caller_count)
 
 
+def test_outputs_do_not_depend_on_the_callers_blas_thread_count():
+    """At 144 antennas the round's arrays are large enough for OpenBLAS to
+    split work across threads, which moves the last bits of the results; the
+    one-thread guard keeps them whatever count the caller set."""
+    api = openblas_thread_api()
+    if api is None or (os.cpu_count() or 1) < 2:
+        pytest.skip("needs numpy's OpenBLAS and two cores")
+    get, set_ = api
+    caller_count = get()
+    cfg = ScenarioConfig(scenario="C", mmimo_antennas=144, p_tr=1.0, n_drops=1, n_rounds=10, seed=3)
+    runs = []
+    try:
+        for count in (1, 2):
+            set_(count)
+            runs.append(run_simulation(cfg).drops)
+    finally:
+        set_(caller_count)
+    (one,), (two,) = runs
+    assert one.sinr_db.size > 0 and np.array_equal(one.sinr_db, two.sinr_db)
+    assert (one.ap_attempts, one.ap_grants, one.user_throughput_bps, one.sum_throughput_bps) == (
+        two.ap_attempts, two.ap_grants, two.user_throughput_bps, two.sum_throughput_bps,
+    )
+
+
 def test_ap_receiving_from_its_own_sta_does_not_attempt(monkeypatch):
     # Half duplex: once a STA of an AP's cell is granted (uplink to that AP),
     # the AP does not attempt access later in the same round.
@@ -445,7 +470,7 @@ def test_lone_elbt_user_with_nulls_still_zero_forces():
     medium = RoundMedium(drop, mac.draw_traffic(drop.sched, 1.0, drop.rng), mac.MODE_ELBT)
     u_null = medium._covariance_subspace(CENTRAL_AP).dominant
     assert u_null.shape[1] > 0
-    user = sorted(drop.sched.elbt_set)[0]
+    user = sorted(drop.sched.partition[CENTRAL_AP][mac.MODE_ELBT])[0]
     precoder = medium._build_precoder(drop.nodes[CENTRAL_AP], [user], u_null)
     h = np.ascontiguousarray(drop.table.array_rows([user]).T)
     assert np.linalg.norm(u_null.conj().T @ precoder.W) <= 1e-12
@@ -487,8 +512,49 @@ def test_scenario_c_partition_members_follow_phase():
         phase = mac.phase_pattern(r)
         out = run_round(drop, r)
         users = out.scheduled.get(CENTRAL_AP, ())
-        allowed = drop.sched.elbt_set if phase == mac.MODE_ELBT else drop.sched.lbt_set
-        assert set(users) <= set(allowed)
+        assert set(users) <= drop.sched.partition[CENTRAL_AP][phase]
+
+
+def test_each_ap_decides_its_dl_candidates_once_per_round(monkeypatch):
+    """One `dl_candidates` call per AP and round, and a granted AP's
+    `schedule` picks from that very list."""
+    calls, scheduled = [], []
+    real_candidates, real_schedule = mac.dl_candidates, mac.schedule
+
+    def candidates_spy(ap_id, traffic, state, phase):
+        cands = real_candidates(ap_id, traffic, state, phase)
+        calls.append((ap_id, phase, cands))
+        return cands
+
+    def schedule_spy(ap_id, candidates, state):
+        scheduled.append((ap_id, candidates))
+        return real_schedule(ap_id, candidates, state)
+
+    monkeypatch.setattr(mac, "dl_candidates", candidates_spy)
+    monkeypatch.setattr(mac, "schedule", schedule_spy)
+    drop = init_drop(ScenarioConfig(scenario="C", p_tr=1.0, n_drops=1, n_rounds=20, seed=3), np.random.SeedSequence(8))
+    central_phases = set()
+    for r in range(20):
+        calls.clear()
+        scheduled.clear()
+        run_round(drop, r)
+        assert [(ap_id, phase) for ap_id, phase, _ in calls] == [(a, mac.phase_pattern(r)) for a in range(3)]
+        assert all(cands is calls[ap_id][2] for ap_id, cands in scheduled)
+        central_phases |= {calls[CENTRAL_AP][1] for ap_id, _ in scheduled if ap_id == CENTRAL_AP}
+    assert central_phases == {mac.MODE_ELBT, mac.MODE_LBT}  # the central AP scheduled in both phases
+
+
+@pytest.mark.parametrize("scenario, partition_enabled", [("A", True), ("B", True), ("C", False)])
+def test_without_a_partition_each_ap_takes_its_dl_traffic(scenario, partition_enabled):
+    cfg = ScenarioConfig(scenario=scenario, p_tr=0.7, partition_enabled=partition_enabled)
+    drop = init_drop(cfg, np.random.SeedSequence(9))
+    assert drop.sched.partition == {}
+    for r in range(10):
+        drop.table.resample(drop.rng)
+        traffic = mac.draw_traffic(drop.sched, cfg.p_tr, drop.rng)
+        phase = mac.phase_pattern(r) if scenario == "C" else None
+        medium = RoundMedium(drop, traffic, phase)
+        assert all(medium.candidates[a] is traffic.dl[a] for a in range(3))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -625,13 +691,14 @@ def _reference_setup(cfg, seed):
 
     serving = np.argmax(cfg.ap_max_power_dbm + slow_db[3:, :3], axis=1)
     served = {a: tuple(int(s) for s in np.flatnonzero(serving == a) + 3) for a in range(3)}
-    partition = (frozenset(), frozenset())
-    if cfg.scenario == "C":
+    partition = {}
+    if cfg.scenario == "C" and cfg.partition_enabled:
         central = list(served[CENTRAL_AP])
         rx_mw = float(dbm_to_mw(cfg.ap_max_power_dbm)) * slow[central, :3]
         noise = phy.noise_power(cfg.bandwidth_hz, cfg.sta_noise_figure_db, cfg.noise_psd_dbm_hz)
         betas = dict(zip(central, mac.vulnerability(rx_mw, CENTRAL_AP, noise)))
-        partition = mac.partition_by_vulnerability(betas, cfg.elbt_fraction)
+        elbt, lbt = mac.partition_by_vulnerability(betas, cfg.elbt_fraction)
+        partition = {CENTRAL_AP: {mac.MODE_ELBT: elbt, mac.MODE_LBT: lbt}}
     return nodes, los, slow_db, slow, served, partition
 
 
@@ -648,16 +715,17 @@ def test_drop_setup_matches_per_node_reference(scenario, overrides):
         assert np.array_equal(drop.table.los, los)
         assert np.array_equal(drop.table.slow_gain, slow)
         assert drop.sched.served == served
-        assert (drop.sched.elbt_set, drop.sched.lbt_set) == partition
+        assert drop.sched.partition == partition
         # the per-drop constants are the per-use conversions they replace
         assert drop.max_power_mw == [float(dbm_to_mw(nd.max_power_dbm)) for nd in nodes]
         assert drop.link.noise_sta_mw == phy.noise_power(cfg.bandwidth_hz, cfg.sta_noise_figure_db, cfg.noise_psd_dbm_hz)
         assert drop.link.noise_ap_mw == phy.noise_power(cfg.bandwidth_hz, cfg.ap_noise_figure_db, cfg.noise_psd_dbm_hz)
         assert drop.link.rate_table == phy.RateTable(cfg.rate_table)
-        medium = RoundMedium(drop, mac.draw_traffic(drop.sched, cfg.p_tr, drop.rng), None)
-        assert medium.gamma_lbt == float(dbm_to_mw(cfg.gamma_lbt_dbm))
-        assert medium.gamma_preamble == float(dbm_to_mw(cfg.gamma_preamble_dbm))
-        assert medium.preamble_min_sinr == float(db_to_linear(cfg.preamble_min_sinr_db))
+        phase = mac.phase_pattern(0) if cfg.scenario == "C" else None
+        medium = RoundMedium(drop, mac.draw_traffic(drop.sched, cfg.p_tr, drop.rng), phase)
+        assert medium.link.gamma_lbt == float(dbm_to_mw(cfg.gamma_lbt_dbm))
+        assert medium.link.gamma_preamble == float(dbm_to_mw(cfg.gamma_preamble_dbm))
+        assert medium.link.preamble_min_sinr == float(db_to_linear(cfg.preamble_min_sinr_db))
 
 
 @pytest.mark.parametrize("scenario", "ABC")

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -159,20 +161,23 @@ def test_phase_pattern_all_elbt():
 # ---- scheduling --------------------------------------------------------------------
 
 
-def scheduler(served, k_max, elbt=(), lbt=()):
-    return mac.SchedulerState(
-        served={0: tuple(served)}, k_max={0: k_max},
-        elbt_set=frozenset(elbt), lbt_set=frozenset(lbt),
-    )
+def scheduler(served, k_max, partition=None):
+    """A one-AP scheduler state; `partition` is AP 0's {phase: users} split."""
+    return mac.SchedulerState(served={0: tuple(served)}, k_max={0: k_max}, partition={0: partition} if partition else {})
 
 
 def traffic_dl(ids):
     return mac.TrafficState(dl={0: sorted(ids)}, ul={0: []})
 
 
+def schedule(state, ids, phase=None):
+    """AP 0's pick from DL traffic at `ids`, through its candidates as the engine does."""
+    return mac.schedule(0, mac.dl_candidates(0, traffic_dl(ids), state, phase), state)
+
+
 def test_schedule_caps_by_availability():
     state = scheduler(range(3, 13), 4)
-    picked = mac.schedule(0, traffic_dl([5, 9]), state)
+    picked = schedule(state, [5, 9])
     assert sorted(picked) == [5, 9]
 
 
@@ -180,10 +185,10 @@ def test_schedule_elbt_set_filter():
     ids = list(range(3, 13))
     betas = {i: float(i) for i in ids}
     elbt, lbt = mac.partition_by_vulnerability(betas, 0.4)
-    state = scheduler(ids, 4, elbt, lbt)
-    picked = mac.schedule(0, traffic_dl(ids), state, phase=mac.MODE_ELBT)
+    state = scheduler(ids, 4, {mac.MODE_ELBT: elbt, mac.MODE_LBT: lbt})
+    picked = schedule(state, ids, mac.MODE_ELBT)
     assert set(picked) == set(elbt)  # the four highest-beta users
-    picked = mac.schedule(0, traffic_dl(ids), state, phase=mac.MODE_LBT)
+    picked = schedule(state, ids, mac.MODE_LBT)
     assert set(picked) <= set(lbt)
 
 
@@ -192,7 +197,7 @@ def test_schedule_round_robin_cycles():
     state = scheduler(ids, 4)
     seen = []
     for _ in range(4):
-        seen.append(tuple(mac.schedule(0, traffic_dl(ids), state)))
+        seen.append(tuple(schedule(state, ids)))
     assert sorted(seen[0] + seen[1]) == ids  # each exactly once in 2 rounds
     assert sorted(seen[2] + seen[3]) == ids
     assert seen[0] == seen[2]
@@ -216,9 +221,9 @@ class FakeMedium:
                  residual_factors=None):
         self.rx = rx_mw  # rx[receiver][transmitter] -> linear power
         self.noise = noise_mw
-        self.gamma_lbt = float(dbm_to_mw(gamma_lbt_dbm))
-        self.gamma_preamble = float(dbm_to_mw(-82.0))
-        self.preamble_min_sinr = 10 ** (-0.08)
+        self.link = SimpleNamespace(
+            gamma_lbt=float(dbm_to_mw(gamma_lbt_dbm)), gamma_preamble=float(dbm_to_mw(-82.0)), preamble_min_sinr=10 ** (-0.08)
+        )
         self.residual_factors = residual_factors or {}
         self.active = []
 
