@@ -17,14 +17,6 @@ import numpy as np
 
 from .units import db_to_linear
 
-# InH path-loss constants (intercept, log-distance slope); the carrier adds
-# 20 log10(f_GHz) in both branches.
-INH_LOS = (32.8, 16.9)
-INH_NLOS = (11.5, 43.3)
-
-SHADOW_SIGMA_LOS_DB = 3.0
-SHADOW_SIGMA_NLOS_DB = 4.0
-
 
 def los_probability(d_3d):
     """Line-of-sight probability versus 3D distance (indoor hotspot model)."""
@@ -35,12 +27,14 @@ def los_probability(d_3d):
     return float(p) if np.isscalar(d_3d) else p
 
 
-def path_loss_db(d_3d, los, carrier_ghz=5.18, los_coef=INH_LOS, nlos_coef=INH_NLOS):
+def path_loss_db(d_3d, los, carrier_ghz, los_coef, nlos_coef):
     """InH path loss in dB; distances below 1 m are clamped to 1 m.
 
-    The NLOS branch is floored at the LOS value: the raw constants cross
-    below ~6.4 m, under the NLOS model's validity range (and inside the 18 m
-    always-LOS radius, so the floor never binds in simulation).
+    Each branch is intercept + slope log10(d) from its (intercept, slope)
+    pair, and the carrier adds 20 log10(f_GHz) to both. The NLOS branch is
+    floored at the LOS value: the default constants cross below ~6.4 m,
+    under the NLOS model's validity range (and inside the 18 m always-LOS
+    radius, so the floor never binds in simulation).
     """
     d = np.maximum(np.asarray(d_3d, dtype=float), 1.0)
     f_term = 20.0 * math.log10(carrier_ghz)
@@ -51,10 +45,10 @@ def path_loss_db(d_3d, los, carrier_ghz=5.18, los_coef=INH_LOS, nlos_coef=INH_NL
     return float(pl) if np.isscalar(d_3d) else pl
 
 
-def shadowing_db(los, rng, size=None, sigma_los=SHADOW_SIGMA_LOS_DB, sigma_nlos=SHADOW_SIGMA_NLOS_DB):
-    """Log-normal shadowing draw (dB domain), sigma chosen by LOS state."""
-    sigma = np.where(los, sigma_los, sigma_nlos)
-    return rng.standard_normal(size) * sigma if size is not None else rng.normal(0.0, sigma)
+def shadowing_db(los, rng, sigma_los, sigma_nlos):
+    """Log-normal shadowing draws (dB domain), one per entry of the array
+    `los`, each sigma chosen by its LOS state."""
+    return rng.standard_normal(len(los)) * np.where(los, sigma_los, sigma_nlos)
 
 
 def received_covariance(x, active, links, powers, noise_power=0.0):
@@ -152,7 +146,7 @@ class ChannelTable:
         d_pairs = np.sqrt(sq[0] + sq[1] + sq[2])
 
         los_pairs = rng.random(n_pairs) < los_probability(d_pairs)
-        shadow_pairs = shadowing_db(los_pairs, rng, n_pairs, config.shadowing_sigma_los_db, config.shadowing_sigma_nlos_db)
+        shadow_pairs = shadowing_db(los_pairs, rng, config.shadowing_sigma_los_db, config.shadowing_sigma_nlos_db)
         los_coef = (config.pl_los_intercept, config.pl_los_slope)
         nlos_coef = (config.pl_nlos_intercept, config.pl_nlos_slope)
         pl_pairs = path_loss_db(d_pairs, los_pairs, config.carrier_ghz, los_coef, nlos_coef)

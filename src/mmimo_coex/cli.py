@@ -11,23 +11,13 @@ from .errors import ConfigError
 from .results import emit_results, summary, write_csv
 
 
+# The configuration fields that `run` and `sweep` flags set: each flag's dest is its field.
+_FLAG_FIELDS = ("scenario", "p_tr", "n_drops", "n_rounds", "seed", "out_dir", "out_format")
+
+
 def _base_config(args):
     cfg = load_config(args.config) if args.config else ScenarioConfig()
-    overrides = {}
-    if getattr(args, "scenario", None):
-        overrides["scenario"] = args.scenario
-    for arg_name, field in (
-        ("ptr", "p_tr"),
-        ("drops", "n_drops"),
-        ("rounds", "n_rounds"),
-        ("seed", "seed"),
-        ("out", "out_dir"),
-        ("format", "out_format"),
-    ):
-        value = getattr(args, arg_name, None)
-        if value is not None:
-            overrides[field] = value
-    return cfg.replace(**overrides) if overrides else cfg
+    return cfg.replace(**{f: getattr(args, f) for f in _FLAG_FIELDS if getattr(args, f, None) is not None})
 
 
 def _fmt(value, spec, scale=1.0):
@@ -117,22 +107,22 @@ def build_parser():
     run_p = sub.add_parser("run", help="run one scenario and emit results")
     run_p.add_argument("--config", help="JSON configuration file")
     run_p.add_argument("--scenario", choices=["A", "B", "C"])
-    run_p.add_argument("--ptr", type=float, help="traffic probability per STA")
-    run_p.add_argument("--drops", type=int, help="number of Monte-Carlo drops")
-    run_p.add_argument("--rounds", type=int, help="rounds per drop")
+    run_p.add_argument("--ptr", dest="p_tr", type=float, help="traffic probability per STA")
+    run_p.add_argument("--drops", dest="n_drops", type=int, help="number of Monte-Carlo drops")
+    run_p.add_argument("--rounds", dest="n_rounds", type=int, help="rounds per drop")
     run_p.add_argument("--seed", type=int)
-    run_p.add_argument("--out", help="output directory")
-    run_p.add_argument("--format", choices=["csv", "json"])
+    run_p.add_argument("--out", dest="out_dir", help="output directory")
+    run_p.add_argument("--format", dest="out_format", choices=["csv", "json"])
     run_p.set_defaults(func=cmd_run)
 
     sweep_p = sub.add_parser("sweep", help="run a scenario x traffic grid")
     sweep_p.add_argument("--config", help="JSON configuration file")
     sweep_p.add_argument("--scenarios", default="A,B,C")
     sweep_p.add_argument("--ptrs", default="0.1,1.0")
-    sweep_p.add_argument("--drops", type=int)
-    sweep_p.add_argument("--rounds", type=int)
+    sweep_p.add_argument("--drops", dest="n_drops", type=int)
+    sweep_p.add_argument("--rounds", dest="n_rounds", type=int)
     sweep_p.add_argument("--seed", type=int)
-    sweep_p.add_argument("--out", help="root output directory")
+    sweep_p.add_argument("--out", dest="out_dir", help="root output directory")
     sweep_p.set_defaults(func=cmd_sweep)
 
     val_p = sub.add_parser("validate-config", help="check a configuration file")

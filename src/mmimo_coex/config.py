@@ -10,15 +10,7 @@ from dataclasses import dataclass
 from .errors import ConfigError
 from .phy import DEFAULT_RATE_ROWS, RateTable
 
-SCENARIOS = ("A", "B", "C")
-_SCENARIO_ALIASES = {
-    "A": "A",
-    "A_SINGLE_ANTENNA": "A",
-    "B": "B",
-    "B_MMIMO": "B",
-    "C": "C",
-    "C_MMIMO_U": "C",
-}
+SCENARIOS = ("A", "B", "C")  # also accepted in lower case
 OUTPUT_FORMATS = ("csv", "json")
 
 # Declared field type -> (accepted values, what the error message asks for).
@@ -131,9 +123,8 @@ class ScenarioConfig:
     out_format: str = _bounded("csv", _one_of(OUTPUT_FORMATS))
 
     def __post_init__(self):
-        key = str(self.scenario).upper()
-        if key in _SCENARIO_ALIASES:
-            self.scenario = _SCENARIO_ALIASES[key]
+        if str(self.scenario).upper() in SCENARIOS:
+            self.scenario = str(self.scenario).upper()
         try:
             self.rate_table = tuple(tuple(row) for row in self.rate_table)
         except TypeError:

@@ -47,7 +47,7 @@ class SchedulerState:
         self.cell_of = dict(sorted((s, a) for a, cell in self.served.items() for s in cell))
 
 
-def draw_traffic(state, p_tr, rng, ul_fraction=0.2):
+def draw_traffic(state, p_tr, rng, ul_fraction):
     """Independent Bernoulli(p_tr) traffic per served STA, in ascending id;
     active STAs intend UL with probability ul_fraction for this round, DL
     otherwise."""
@@ -83,7 +83,7 @@ def vulnerability(rx_mw, serving_ap, noise_power):
     return rx_mw[:, serving_ap] / sum(others, noise_power)
 
 
-def partition_by_vulnerability(betas, elbt_fraction=0.4):
+def partition_by_vulnerability(betas, elbt_fraction):
     """Split a cell's users: the floor(fraction * n) highest-beta users are
     eligible during spectrum-reuse (eLBT) rounds, the rest after plain LBT."""
     ranked = sorted(betas, key=lambda s: (-betas[s], s))
@@ -91,11 +91,11 @@ def partition_by_vulnerability(betas, elbt_fraction=0.4):
     return frozenset(ranked[:n_elbt]), frozenset(ranked[n_elbt:])
 
 
-def phase_pattern(round_index, elbt_fraction=0.4, period=5):
+def phase_pattern(round_index, elbt_fraction, period):
     """Deterministic repeating access pattern for the nulling AP.
 
     The first round(elbt_fraction * period) rounds of each period use eLBT,
-    the remainder plain LBT; defaults give the 2-of-5 (40/60) split.
+    the remainder plain LBT.
     """
     n_elbt = int(round(elbt_fraction * period))
     return MODE_ELBT if (round_index % period) < n_elbt else MODE_LBT
@@ -131,7 +131,7 @@ def select_ul_sta(ap_id, traffic, state):
     return _round_robin(state.ul_cursor, ap_id, cands, 1)[0] if cands else None
 
 
-def contend(contenders, medium, rng, cw=16):
+def contend(contenders, medium, rng, cw):
     """Snapshot contention round: backoff-ordered sequential admission.
 
     Every contender draws a backoff uniform in [0, cw), as floor(u * cw) of

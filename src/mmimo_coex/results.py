@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import statistics
 from dataclasses import dataclass
 from itertools import islice
 
@@ -57,15 +58,28 @@ class ResultSet:
         return [d.sum_throughput_bps for d in self.drops]
 
     def median_sum_throughput(self):
+        """np.median of the drops' sum throughputs (NaN if one is), without
+        the numpy.ma import that np.median makes on first use."""
         samples = self.sum_throughput_samples()
-        return float(np.median(samples)) if samples else float("nan")
+        return statistics.median(samples) if samples and not any(map(math.isnan, samples)) else float("nan")
 
     def sinr_percentile_db(self, q):
         return _percentile(self.sinr_samples_db(), q)
 
 
 def _percentile(samples, q):
-    return float(np.percentile(samples, q)) if len(samples) else float("nan")
+    """np.percentile(samples, q) bit for bit, by its default linear rule,
+    without the numpy.ma import that np.percentile makes on first use. (Only
+    the sign of a zero can differ, where -0.0 and 0.0 tie.)"""
+    ordered = np.sort(samples)  # any NaN sorts last
+    n = len(ordered)
+    if not n or math.isnan(ordered[-1]):
+        return float("nan")
+    v = (n - 1) * (q / 100)
+    i = math.floor(v)
+    a, b = ordered[i].item(), ordered[min(i + 1, n - 1)].item()
+    t = v - i
+    return a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t)
 
 
 def aggregate_cdf(samples):

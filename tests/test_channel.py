@@ -18,6 +18,15 @@ from mmimo_coex.phy import received_power
 from mmimo_coex.units import db_to_linear
 
 
+DEFAULTS = ScenarioConfig()
+
+
+def default_path_loss(d, los):
+    """path_loss_db at the configuration's default carrier and InH constants."""
+    c = DEFAULTS
+    return path_loss_db(d, los, c.carrier_ghz, (c.pl_los_intercept, c.pl_los_slope), (c.pl_nlos_intercept, c.pl_nlos_slope))
+
+
 def node(nid, pos, antennas=1, role=ROLE_STA, p=18.0):
     return NodeDescriptor(nid, role, pos, antennas, p)
 
@@ -64,20 +73,20 @@ def test_los_probability_rejects_negative():
 
 
 def test_path_loss_los_at_1m():
-    assert path_loss_db(1.0, True, 5.18) == pytest.approx(32.8 + 20 * math.log10(5.18), abs=1e-9)
+    assert default_path_loss(1.0, True) == pytest.approx(32.8 + 20 * math.log10(5.18), abs=1e-9)
 
 
 def test_path_loss_nlos_decade_slope():
-    assert path_loss_db(100.0, False) - path_loss_db(10.0, False) == pytest.approx(43.3, abs=1e-9)
+    assert default_path_loss(100.0, False) - default_path_loss(10.0, False) == pytest.approx(43.3, abs=1e-9)
 
 
 def test_path_loss_nlos_dominates_los():
     d = np.linspace(1.0, 130.0, 500)
-    assert np.all(path_loss_db(d, False) >= path_loss_db(d, True))
+    assert np.all(default_path_loss(d, False) >= default_path_loss(d, True))
 
 
 def test_path_loss_clamps_below_1m():
-    assert path_loss_db(0.2, True) == path_loss_db(1.0, True)
+    assert default_path_loss(0.2, True) == default_path_loss(1.0, True)
 
 
 # ---- shadowing and fading ----------------------------------------------------
@@ -86,7 +95,7 @@ def test_path_loss_clamps_below_1m():
 def test_shadowing_sigma_matches_target():
     rng = np.random.default_rng(5)
     for los, sigma in ((True, 3.0), (False, 4.0)):
-        draws = shadowing_db(np.full(100_000, los), rng, size=100_000)
+        draws = shadowing_db(np.full(100_000, los), rng, DEFAULTS.shadowing_sigma_los_db, DEFAULTS.shadowing_sigma_nlos_db)
         assert abs(np.std(draws) - sigma) / sigma < 0.02
 
 

@@ -20,10 +20,12 @@ def test_defaults_are_valid():
         ScenarioConfig(scenario=scenario).validate()
 
 
-def test_scenario_aliases():
-    assert ScenarioConfig(scenario="A_single_antenna").scenario == "A"
-    assert ScenarioConfig(scenario="b_mmimo").scenario == "B"
-    assert ScenarioConfig(scenario="C_mmimo_u").scenario == "C"
+def test_scenario_names_fold_case_and_nothing_else():
+    assert [ScenarioConfig(scenario=s).scenario for s in ("a", "b", "c", "C")] == ["A", "B", "C", "C"]
+    for long_name in ("A_SINGLE_ANTENNA", "b_mmimo", "C_mmimo_u"):
+        with pytest.raises(ConfigError, match=rf"^invalid configuration: scenario \(got '{long_name}', must be one of") as err:
+            ScenarioConfig.from_dict({"scenario": long_name}).validate()
+        assert "\n" not in str(err.value)
 
 
 def test_antenna_layout_follows_scenario():
@@ -200,12 +202,29 @@ def test_retired_keys_are_unknown(key):
         ScenarioConfig.from_dict({key: True})
 
 
-def test_readme_configuration_table_names_every_field():
+def _readme_configuration_table():
     readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
-    section = readme.split("## Configuration reference", 1)[1].split("\n\n", 2)[1]
-    named = set(re.findall(r"`(\w+)`", section))
+    return readme.split("## Configuration reference", 1)[1].split("\n\n", 2)[1]
+
+
+def test_readme_configuration_table_names_every_field():
+    named = set(re.findall(r"`(\w+)`", _readme_configuration_table()))
     assert named == set(_FIELD_TYPES)
     assert not named & set(_RETIRED_KEYS)
+
+
+def test_readme_configuration_table_gives_every_default():
+    """Each field's "`name` (default)" entry: numbers equal as floats, strings
+    and booleans as JSON writes them, and the rate table by its row count."""
+    listed = dict(re.findall(r"`(\w+)` \(([^)]*)\)", _readme_configuration_table()))
+    for f in dataclasses.fields(ScenarioConfig):
+        text = listed[f.name]
+        if f.name == "rate_table":
+            assert re.match(rf"{len(f.default)} rows\b", text), text
+        elif f.type in (bool, str):
+            assert text == json.dumps(f.default), f.name
+        else:
+            assert float(text) == f.default, f.name
 
 
 def test_rate_table_override_validated():

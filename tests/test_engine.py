@@ -28,6 +28,17 @@ def small_cfg(**kw):
     return ScenarioConfig(**base)
 
 
+def round_traffic(drop):
+    """A round's traffic as `run_round` draws it, from the drop's configuration."""
+    cfg = drop.config
+    return mac.draw_traffic(drop.sched, cfg.p_tr, drop.rng, cfg.ul_fraction)
+
+
+def round_phase(cfg, r):
+    """The nulling AP's phase in round r as `run_round` takes it; None outside scenario C."""
+    return mac.phase_pattern(r, cfg.elbt_fraction, cfg.pattern_period) if cfg.scenario == "C" else None
+
+
 def test_no_traffic_round_is_empty():
     cfg = small_cfg(p_tr=0.0)
     drop = init_drop(cfg, np.random.SeedSequence(1))
@@ -150,7 +161,7 @@ def test_elbt_without_nulls_equals_lbt_sensing():
     cfg = ScenarioConfig(scenario="C", n_nulls=0, p_tr=1.0, n_drops=1, n_rounds=1, seed=13)
     drop = init_drop(cfg, np.random.SeedSequence(21))
     drop.table.resample(drop.rng)
-    traffic = mac.draw_traffic(drop.sched, 1.0, drop.rng)
+    traffic = round_traffic(drop)
     medium = RoundMedium(drop, traffic, mac.MODE_ELBT)
     for sta in (5, 9, 20):
         medium.activate(sta, cca_slot=0)
@@ -239,7 +250,7 @@ def _elbt_subspace(seed, **overrides):
     cfg = ScenarioConfig(scenario="C", p_tr=1.0, n_drops=1, n_rounds=1, seed=13, **overrides)
     drop = init_drop(cfg, np.random.SeedSequence(seed))
     drop.table.resample(drop.rng)
-    medium = RoundMedium(drop, mac.draw_traffic(drop.sched, 1.0, drop.rng), mac.MODE_ELBT)
+    medium = RoundMedium(drop, round_traffic(drop), mac.MODE_ELBT)
     sub = medium._covariance_subspace(CENTRAL_AP)
     own_cell = set(drop.sched.served[CENTRAL_AP])
     ids = [nd.id for nd in drop.nodes if nd.id != CENTRAL_AP and nd.id not in own_cell]
@@ -414,7 +425,7 @@ def test_duplicate_user_channel_drops_one_of_the_pair(monkeypatch, n_nulls):
     cfg = ScenarioConfig(scenario="C", n_nulls=n_nulls, p_tr=1.0, n_drops=1, n_rounds=1, seed=13)
     drop = init_drop(cfg, np.random.SeedSequence(21))
     drop.table.resample(drop.rng)
-    medium = RoundMedium(drop, mac.draw_traffic(drop.sched, 1.0, drop.rng), mac.MODE_ELBT)
+    medium = RoundMedium(drop, round_traffic(drop), mac.MODE_ELBT)
     u_null = medium._covariance_subspace(CENTRAL_AP).dominant
     a, b, c = drop.sched.served[CENTRAL_AP][:3]
     real_rows = drop.table.array_rows
@@ -450,7 +461,7 @@ def test_lone_user_takes_the_matched_filter_that_zero_forcing_gives(monkeypatch)
     for seed in range(4):
         drop = init_drop(cfg, np.random.SeedSequence(seed))
         drop.table.resample(drop.rng)
-        medium = RoundMedium(drop, mac.draw_traffic(drop.sched, 1.0, drop.rng), None)
+        medium = RoundMedium(drop, round_traffic(drop), None)
         ap = drop.nodes[CENTRAL_AP]
         for user in drop.sched.served[CENTRAL_AP][:3]:
             h = drop.table.array_rows([user]).T
@@ -467,7 +478,7 @@ def test_lone_elbt_user_with_nulls_still_zero_forces():
     cfg = ScenarioConfig(scenario="C", p_tr=1.0, n_drops=1, n_rounds=1, seed=13)
     drop = init_drop(cfg, np.random.SeedSequence(21))
     drop.table.resample(drop.rng)
-    medium = RoundMedium(drop, mac.draw_traffic(drop.sched, 1.0, drop.rng), mac.MODE_ELBT)
+    medium = RoundMedium(drop, round_traffic(drop), mac.MODE_ELBT)
     u_null = medium._covariance_subspace(CENTRAL_AP).dominant
     assert u_null.shape[1] > 0
     user = sorted(drop.sched.partition[CENTRAL_AP][mac.MODE_ELBT])[0]
@@ -484,7 +495,7 @@ def test_only_the_ap_of_an_uplink_sta_is_busy_receiving():
     drop = init_drop(cfg, np.random.SeedSequence(21))
     drop.table.resample(drop.rng)
     for ap in range(3):
-        medium = RoundMedium(drop, mac.draw_traffic(drop.sched, 1.0, drop.rng), None)
+        medium = RoundMedium(drop, round_traffic(drop), None)
         assert not any(medium.busy_receiving(nd.id) for nd in drop.nodes)
         assert medium.activate(drop.sched.served[ap][0])
         assert [nd.id for nd in drop.nodes if medium.busy_receiving(nd.id)] == [ap]
@@ -509,7 +520,7 @@ def test_scenario_c_partition_members_follow_phase():
     cfg = ScenarioConfig(scenario="C", p_tr=1.0, n_drops=1, n_rounds=10, seed=23)
     drop = init_drop(cfg, np.random.SeedSequence(4))
     for r in range(10):
-        phase = mac.phase_pattern(r)
+        phase = round_phase(cfg, r)
         out = run_round(drop, r)
         users = out.scheduled.get(CENTRAL_AP, ())
         assert set(users) <= drop.sched.partition[CENTRAL_AP][phase]
@@ -538,10 +549,28 @@ def test_each_ap_decides_its_dl_candidates_once_per_round(monkeypatch):
         calls.clear()
         scheduled.clear()
         run_round(drop, r)
-        assert [(ap_id, phase) for ap_id, phase, _ in calls] == [(a, mac.phase_pattern(r)) for a in range(3)]
+        assert [(ap_id, phase) for ap_id, phase, _ in calls] == [(a, round_phase(drop.config, r)) for a in range(3)]
         assert all(cands is calls[ap_id][2] for ap_id, cands in scheduled)
         central_phases |= {calls[CENTRAL_AP][1] for ap_id, _ in scheduled if ap_id == CENTRAL_AP}
     assert central_phases == {mac.MODE_ELBT, mac.MODE_LBT}  # the central AP scheduled in both phases
+
+
+def test_run_round_takes_its_phase_from_the_configured_pattern(monkeypatch):
+    """A period of 3 rounds with an eLBT fraction of 1/3 gives eLBT in rounds
+    0, 3, 6, ... and LBT in the others, as every AP's `dl_candidates` call sees."""
+    phases = []
+    real_candidates = mac.dl_candidates
+
+    def candidates_spy(ap_id, traffic, state, phase):
+        phases.append(phase)
+        return real_candidates(ap_id, traffic, state, phase)
+
+    monkeypatch.setattr(mac, "dl_candidates", candidates_spy)
+    drop = init_drop(ScenarioConfig(scenario="C", elbt_fraction=1 / 3, pattern_period=3), np.random.SeedSequence(8))
+    for r in range(9):
+        phases.clear()
+        run_round(drop, r)
+        assert phases == [mac.MODE_ELBT if r % 3 == 0 else mac.MODE_LBT] * 3, r
 
 
 @pytest.mark.parametrize("scenario, partition_enabled", [("A", True), ("B", True), ("C", False)])
@@ -551,9 +580,8 @@ def test_without_a_partition_each_ap_takes_its_dl_traffic(scenario, partition_en
     assert drop.sched.partition == {}
     for r in range(10):
         drop.table.resample(drop.rng)
-        traffic = mac.draw_traffic(drop.sched, cfg.p_tr, drop.rng)
-        phase = mac.phase_pattern(r) if scenario == "C" else None
-        medium = RoundMedium(drop, traffic, phase)
+        traffic = round_traffic(drop)
+        medium = RoundMedium(drop, traffic, round_phase(cfg, r))
         assert all(medium.candidates[a] is traffic.dl[a] for a in range(3))
 
 
@@ -676,7 +704,7 @@ def _reference_setup(cfg, seed):
     iu = np.triu_indices(n, 1)
     d = dist[iu]
     los_pairs = rng.random(len(d)) < los_probability(d)
-    shadow = shadowing_db(los_pairs, rng, len(d), cfg.shadowing_sigma_los_db, cfg.shadowing_sigma_nlos_db)
+    shadow = shadowing_db(los_pairs, rng, cfg.shadowing_sigma_los_db, cfg.shadowing_sigma_nlos_db)
     pl = path_loss_db(
         d, los_pairs, cfg.carrier_ghz, (cfg.pl_los_intercept, cfg.pl_los_slope), (cfg.pl_nlos_intercept, cfg.pl_nlos_slope)
     )
@@ -721,8 +749,7 @@ def test_drop_setup_matches_per_node_reference(scenario, overrides):
         assert drop.link.noise_sta_mw == phy.noise_power(cfg.bandwidth_hz, cfg.sta_noise_figure_db, cfg.noise_psd_dbm_hz)
         assert drop.link.noise_ap_mw == phy.noise_power(cfg.bandwidth_hz, cfg.ap_noise_figure_db, cfg.noise_psd_dbm_hz)
         assert drop.link.rate_table == phy.RateTable(cfg.rate_table)
-        phase = mac.phase_pattern(0) if cfg.scenario == "C" else None
-        medium = RoundMedium(drop, mac.draw_traffic(drop.sched, cfg.p_tr, drop.rng), phase)
+        medium = RoundMedium(drop, round_traffic(drop), round_phase(cfg, 0))
         assert medium.link.gamma_lbt == float(dbm_to_mw(cfg.gamma_lbt_dbm))
         assert medium.link.gamma_preamble == float(dbm_to_mw(cfg.gamma_preamble_dbm))
         assert medium.link.preamble_min_sinr == float(db_to_linear(cfg.preamble_min_sinr_db))

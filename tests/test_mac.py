@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from mmimo_coex import mac
+from mmimo_coex.config import ScenarioConfig
 from mmimo_coex.units import dbm_to_mw
+
+DEFAULTS = ScenarioConfig()
 
 
 def one_cell(n):
@@ -17,16 +20,16 @@ def one_cell(n):
 
 def test_traffic_extremes():
     rng = np.random.default_rng(0)
-    all_on = mac.draw_traffic(one_cell(20), 1.0, rng)
+    all_on = mac.draw_traffic(one_cell(20), 1.0, rng, DEFAULTS.ul_fraction)
     assert len(all_on.dl[0] + all_on.ul[0]) == 20
-    none = mac.draw_traffic(one_cell(20), 0.0, rng)
+    none = mac.draw_traffic(one_cell(20), 0.0, rng, DEFAULTS.ul_fraction)
     assert not none.dl[0] + none.ul[0]
 
 
 def test_traffic_activity_rate():
     rng = np.random.default_rng(1)
     n, p = 100_000, 0.1
-    state = mac.draw_traffic(one_cell(n), p, rng)
+    state = mac.draw_traffic(one_cell(n), p, rng, DEFAULTS.ul_fraction)
     rate = (len(state.dl[0]) + len(state.ul[0])) / n
     se = np.sqrt(p * (1 - p) / n)
     assert abs(rate - p) < 3 * se
@@ -42,7 +45,7 @@ def test_traffic_direction_split():
 
 def test_traffic_rejects_bad_probability():
     with pytest.raises(ValueError):
-        mac.draw_traffic(one_cell(1), 1.5, np.random.default_rng(0))
+        mac.draw_traffic(one_cell(1), 1.5, np.random.default_rng(0), DEFAULTS.ul_fraction)
 
 
 def _three_cells(seed, n=40):
@@ -129,7 +132,8 @@ def test_partition_scale_invariant():
     gains = 10 ** rng.uniform(-11, -6, (len(ids), 3))
     betas = dict(zip(ids, mac.vulnerability(250.0 * gains, 1, 1e-15)))
     scaled = dict(zip(ids, mac.vulnerability(500.0 * gains, 1, 1e-15)))
-    assert mac.partition_by_vulnerability(betas) == mac.partition_by_vulnerability(scaled)
+    fraction = DEFAULTS.elbt_fraction
+    assert mac.partition_by_vulnerability(betas, fraction) == mac.partition_by_vulnerability(scaled, fraction)
 
 
 def test_partition_sizes():
@@ -146,16 +150,20 @@ def test_partition_sizes():
 # ---- phase pattern ----------------------------------------------------------------
 
 
+def default_phase(r):
+    return mac.phase_pattern(r, DEFAULTS.elbt_fraction, DEFAULTS.pattern_period)
+
+
 def test_phase_pattern_split():
-    phases = [mac.phase_pattern(r) for r in range(10)]
+    phases = [default_phase(r) for r in range(10)]
     assert phases.count(mac.MODE_ELBT) == 4
     assert phases.count(mac.MODE_LBT) == 6
-    assert mac.phase_pattern(2) == mac.MODE_LBT
-    assert all(mac.phase_pattern(r) == mac.phase_pattern(r + 5) for r in range(20))
+    assert default_phase(2) == mac.MODE_LBT
+    assert all(default_phase(r) == default_phase(r + 5) for r in range(20))
 
 
 def test_phase_pattern_all_elbt():
-    assert all(mac.phase_pattern(r, elbt_fraction=1.0) == mac.MODE_ELBT for r in range(10))
+    assert all(mac.phase_pattern(r, 1.0, DEFAULTS.pattern_period) == mac.MODE_ELBT for r in range(10))
 
 
 # ---- scheduling --------------------------------------------------------------------
@@ -247,7 +255,7 @@ class FakeMedium:
 
 def test_lone_contender_granted():
     medium = FakeMedium({0: {}})
-    attempts = mac.contend([(0, mac.MODE_LBT)], medium, np.random.default_rng(0))
+    attempts = mac.contend([(0, mac.MODE_LBT)], medium, np.random.default_rng(0), DEFAULTS.cw_slots)
     assert attempts[0].granted and attempts[0].defer_cause == mac.DEFER_NONE
 
 
@@ -256,7 +264,7 @@ def test_mutually_audible_pair_serializes():
     rx = {0: {1: loud}, 1: {0: loud}}
     for seed in range(20):
         medium = FakeMedium(rx)
-        attempts = mac.contend([(0, mac.MODE_LBT), (1, mac.MODE_LBT)], medium, np.random.default_rng(seed))
+        attempts = mac.contend([(0, mac.MODE_LBT), (1, mac.MODE_LBT)], medium, np.random.default_rng(seed), DEFAULTS.cw_slots)
         granted = [a for a in attempts if a.granted]
         assert len(granted) == 1
         first = min(attempts, key=lambda a: (a.backoff_slot, a.node_id))
@@ -271,7 +279,7 @@ def test_quiet_preamble_blocks():
     rx = {0: {1: soft}, 1: {0: soft}}
     for seed in range(20):
         medium = FakeMedium(rx)
-        attempts = mac.contend([(0, mac.MODE_LBT), (1, mac.MODE_LBT)], medium, np.random.default_rng(seed))
+        attempts = mac.contend([(0, mac.MODE_LBT), (1, mac.MODE_LBT)], medium, np.random.default_rng(seed), DEFAULTS.cw_slots)
         blocked = [a for a in attempts if not a.granted]
         assert len(blocked) == 1
         assert blocked[0].defer_cause == mac.DEFER_PREAMBLE
@@ -283,13 +291,13 @@ def test_elbt_nulling_gains_access_where_lbt_defers():
     rng_state = 4  # seed where node 1 draws the earlier backoff
     for seed in range(40):
         probe = FakeMedium(rx)
-        attempts = mac.contend([(0, mac.MODE_LBT), (1, mac.MODE_LBT)], probe, np.random.default_rng(seed))
+        attempts = mac.contend([(0, mac.MODE_LBT), (1, mac.MODE_LBT)], probe, np.random.default_rng(seed), DEFAULTS.cw_slots)
         if attempts[0].node_id == 1:
             rng_state = seed
             break
     # same draw, but node 0 filters out node 1's subspace
     medium = FakeMedium(rx, residual_factors={1: 1e-10})
-    attempts = mac.contend([(0, mac.MODE_ELBT), (1, mac.MODE_LBT)], medium, np.random.default_rng(rng_state))
+    attempts = mac.contend([(0, mac.MODE_ELBT), (1, mac.MODE_LBT)], medium, np.random.default_rng(rng_state), DEFAULTS.cw_slots)
     assert all(a.granted for a in attempts)
 
 
@@ -304,7 +312,7 @@ def test_granted_lbt_set_pairwise_compatible():
                 if i != j:
                     rx[i][j] = float(dbm_to_mw(rng.uniform(-95.0, -45.0)))
         medium = FakeMedium(rx)
-        attempts = mac.contend([(i, mac.MODE_LBT) for i in range(n)], medium, rng)
+        attempts = mac.contend([(i, mac.MODE_LBT) for i in range(n)], medium, rng, DEFAULTS.cw_slots)
         order = {a.node_id: k for k, a in enumerate(attempts)}
         granted = [a.node_id for a in attempts if a.granted]
         for g in granted:

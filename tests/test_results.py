@@ -5,6 +5,7 @@ import os
 import pathlib
 import re
 import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ import mmimo_coex
 from mmimo_coex.config import ScenarioConfig
 from mmimo_coex.engine import run_simulation
 from mmimo_coex.geometry import ap_corridor_x
-from mmimo_coex.results import DropResult, ResultSet, aggregate_cdf, emit_results
+from mmimo_coex.results import DropResult, ResultSet, _percentile, aggregate_cdf, emit_results
 
 
 def test_cdf_singleton():
@@ -200,3 +201,38 @@ def test_package_version_matches_pyproject():
     text = (pathlib.Path(__file__).parents[1] / "pyproject.toml").read_text()
     project = re.search(r"^\[project\]$(.*?)(?=^\[|\Z)", text, re.M | re.S).group(1)
     assert re.search(r'^version\s*=\s*"([^"]+)"$', project, re.M).group(1) == mmimo_coex.__version__
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # numpy's percentiles of -inf
+@pytest.mark.parametrize(
+    "samples",
+    [[7.25], [2.0, -1.5], [3.0, 1.0, 3.0, 1.0, 2.0, 3.0, 2.0, 2.0], [-np.inf, 3.5, np.nan, 12.25], [-np.inf, 3.5, 12.25]]
+    + [np.random.default_rng(4).normal(10.0, 8.0, n).tolist() for n in (500, 501)],
+    ids=["one", "two", "ties", "nan", "inf", "normal-500", "normal-501"],
+)
+def test_percentile_and_median_equal_numpys_bit_for_bit(samples):
+    for q in (0, 5, 50, 100):
+        assert _percentile(np.array(samples), q).hex() == float(np.percentile(samples, q)).hex(), q
+    drops = [DropResult((0, 0, 0), (0, 0, 0), np.array([]), {}, v) for v in samples]
+    assert ResultSet(ScenarioConfig(), drops).median_sum_throughput().hex() == float(np.median(samples)).hex()
+
+
+def test_emit_results_leaves_numpy_ma_unimported(tmp_path):
+    """np.median and np.percentile import numpy.ma on first use, which a fresh
+    process would pay for inside emit_results."""
+    script = f"""
+import sys
+from mmimo_coex import ScenarioConfig
+from mmimo_coex.engine import run_simulation
+from mmimo_coex.results import emit_results
+for out_format in ("csv", "json"):
+    cfg = ScenarioConfig(n_drops=2, n_rounds=3, out_dir={str(tmp_path)!r} + "/" + out_format, out_format=out_format)
+    emit_results(run_simulation(cfg))
+print("numpy.ma" in sys.modules)
+"""
+    src = str(pathlib.Path(mmimo_coex.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "False\n"
+    assert (tmp_path / "json" / "results.json").exists() and (tmp_path / "csv" / "samples.csv").exists()
