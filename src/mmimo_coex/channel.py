@@ -241,6 +241,10 @@ class ChannelTable:
             self._take_row(j)
         return self._rows[j]
 
+    def __getitem__(self, pair):
+        """The (slow gain, `link_h`) pair of the (rx, tx) link."""
+        return self.slow_gain.item(*pair), self.link_h(*pair)
+
     def link_h(self, rx, tx):
         """Fading of the (rx, tx) link: its (M_tx, M_rx) matrix H, or between
         single-antenna nodes `scalar_h`'s Python complex h, H's one element."""

@@ -3,6 +3,7 @@ transmission pipeline, and the fold of each drop's round outcomes."""
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,13 +22,22 @@ _STA_PRECODER = beamforming.PrecoderSet(W=np.ones((1, 1), dtype=complex))
 _STA_PRECODER.W.flags.writeable = False
 
 
+class Transmission(NamedTuple):
+    """An admitted frame: radiated power, precoder (its `user_map` holds the DL
+    users, none for a STA), the backoff slot where it began, and its eLBT nulls."""
+
+    power_mw: float
+    precoder: beamforming.PrecoderSet
+    start_slot: int
+    n_nulls: int = 0
+
+
 @dataclass
 class RoundOutcome:
     """Everything a round leaves behind; `run_drop` folds it into the drop's result."""
 
     attempts: list
-    active_ids: tuple
-    scheduled: dict  # ap_id -> tuple of sta_ids
+    transmissions: dict  # node_id -> Transmission, in admission order
     user_sinr_db: dict  # sta_id -> float
     user_rate_bps: dict  # sta_id -> float
 
@@ -91,8 +101,8 @@ class DropState:
 class RoundMedium:
     """What each contender hears this round, updated as grants accumulate.
 
-    Tracks the transmitters admitted so far with their powers and precoders;
-    CCA statistics are per-receive-antenna averages so one regulatory
+    `tx` holds the Transmission of each frame admitted so far, in admission
+    order; CCA statistics are per-receive-antenna averages so one regulatory
     threshold applies to every aperture size. Activating an AP schedules its
     users and freezes its precoder, so later contenders sense the actual
     radiated signal (including any radiation nulls). `phase` is the nulling
@@ -107,12 +117,7 @@ class RoundMedium:
         self.link = drop.link  # the CCA thresholds `mac.contend` reads
         self.phase = phase
         self.candidates = {ap.id: mac.dl_candidates(ap.id, traffic, drop.sched, phase) for ap in drop.aps}
-        self.active = []
-        self.powers = {}
-        self.precoders = {}
-        self.scheduled = {}
-        self.null_counts = {}
-        self.start_slot = {}  # node_id -> backoff slot where its frame began
+        self.tx = {}
         self._subspace = self._n_coexisting = None
 
     # ---- sensing -----------------------------------------------------------
@@ -128,25 +133,19 @@ class RoundMedium:
         """An AP whose own-cell STA already won an UL grant is mid-reception
         and does not perform CCA this round (no access attempt); a STA never is."""
         cell_of = self.drop.sched.cell_of
-        return any(cell_of.get(t) == node_id for t in self.active)
+        return any(cell_of.get(t) == node_id for t in self.tx)
 
-    def _source_power(self, rx_id, tx_id):
-        table = self.drop.table
-        g, h = table.slow_gain.item(rx_id, tx_id), table.link_h(rx_id, tx_id)
-        return phy.received_power(self.powers[tx_id], g, h, self.precoders[tx_id].W) / self._node(rx_id).num_antennas
+    def _source_power(self, rx_id, tx_id, tx):
+        g, h = self.drop.table[rx_id, tx_id]
+        return phy.received_power(tx.power_mw, g, h, tx.precoder.W) / self._node(rx_id).num_antennas
 
     def _noise(self, node_id):
         link = self.drop.link
         return link.noise_ap_mw if self._node(node_id).role == ROLE_AP else link.noise_sta_mw
 
-    def _preamble_visible(self, tx_id, cca_slot):
-        """A preamble is catchable only if the frame started within the last
-        few backoff slots; older transmissions are mid-frame."""
-        return cca_slot - self.start_slot[tx_id] <= self.cfg.preamble_window_slots
-
     def sensed_rx(self, rx_id, cca_slot):
         """LBT sensing: the full received signal (see `_cca_statistics`)."""
-        sources = [self._source_power(rx_id, t) for t in self.active]
+        sources = [self._source_power(rx_id, t, tx) for t, tx in self.tx.items()]
         return self._cca_statistics(sources, self._noise(rx_id), cca_slot)
 
     def residual_rx(self, x_id, cca_slot):
@@ -164,21 +163,22 @@ class RoundMedium:
             return noise, []
         table = self.drop.table
         sources = [
-            self.powers[t] * table.slow_gain[x_id, t] * beamforming.residual_power(sub, v) / m
-            for t, v in zip(self.active, table.array_rows(self.active))
+            tx.power_mw * table.slow_gain[x_id, t] * beamforming.residual_power(sub, v) / m
+            for (t, tx), v in zip(self.tx.items(), table.array_rows(list(self.tx)))
         ]
         return self._cca_statistics(sources, noise, cca_slot)
 
     def _cca_statistics(self, sources, noise, cca_slot):
         """Total per-antenna received power plus the (power, SINR) list of the
-        sources whose preamble is still catchable at this CCA instant."""
+        sources whose preamble is still catchable at this CCA instant: a frame
+        that began more than a few backoff slots ago is mid-frame."""
         total = sum(sources) + noise
         # Each SINR sums the rest directly: total - p rounds to 0 when one
         # source is so strong that the noise beside it is lost.
         per_source = [
             (p, p / (noise + sum(sources[:i]) + sum(sources[i + 1 :])))
-            for i, (p, t) in enumerate(zip(sources, self.active))
-            if self._preamble_visible(t, cca_slot)
+            for i, (p, tx) in enumerate(zip(sources, self.tx.values()))
+            if cca_slot - tx.start_slot <= self.cfg.preamble_window_slots
         ]
         return total, per_source
 
@@ -199,36 +199,31 @@ class RoundMedium:
     # ---- admission ---------------------------------------------------------
 
     def activate(self, node_id, cca_slot=0):
+        """Record node_id's frame, begun at `cca_slot`; False if an AP's grant is voided."""
         node = self._node(node_id)
-        if node.role != ROLE_AP:
-            self.powers[node_id] = self.drop.max_power_mw[node_id]
-            self.precoders[node_id] = _STA_PRECODER
-            self.active.append(node_id)
-            self.start_slot[node_id] = cca_slot
-            return True
-        if self._activate_ap(node):
-            self.start_slot[node_id] = cca_slot
-            return True
-        return False
+        if node.role == ROLE_AP:
+            tx = self._ap_transmission(node, cca_slot)
+        else:
+            tx = Transmission(self.drop.max_power_mw[node_id], _STA_PRECODER, cca_slot)
+        if tx is not None:
+            self.tx[node_id] = tx
+        return tx is not None
 
-    def _activate_ap(self, ap):
+    def _ap_transmission(self, ap, cca_slot):
+        """The AP's frame: its scheduled users' precoder, its power after the
+        back-off and its eLBT nulls; None when no user can be served."""
         u_null = np.empty((ap.num_antennas, 0), dtype=complex)  # (M, N) null directions
         if self.access_mode(ap.id) == mac.MODE_ELBT:
             u_null = self._covariance_subspace(ap.id).dominant
         n_nulls = u_null.shape[1]
         users = mac.schedule(ap.id, self.candidates[ap.id], self.drop.sched)
         if not users:
-            return False
+            return None
         precoder = self._build_precoder(ap, users, u_null)
         if precoder is None:
-            return False  # rank-deficient even after dropping users: grant voided
-        k = precoder.W.shape[1]
-        self.powers[ap.id] = _tx_power_mw(ap.max_power_dbm, ap.num_antennas, n_nulls, k)
-        self.precoders[ap.id] = precoder
-        self.scheduled[ap.id] = tuple(precoder.user_map)
-        self.null_counts[ap.id] = n_nulls
-        self.active.append(ap.id)
-        return True
+            return None  # rank-deficient even after dropping users: grant voided
+        power = _tx_power_mw(ap.max_power_dbm, ap.num_antennas, n_nulls, precoder.W.shape[1])
+        return Transmission(power, precoder, cca_slot, n_nulls)
 
     def _build_precoder(self, ap, users, u_null):
         table = self.drop.table
@@ -320,20 +315,16 @@ def run_round(drop, round_index):
 
     user_sinr_db = {}
     user_rate = {}
-    active = tuple(medium.active)
-    table = drop.table
-    for ap_id, users in medium.scheduled.items():
-        links = {(u, t): (table.slow_gain.item(u, t), table.link_h(u, t)) for u in users for t in active}
-        for u in users:
-            sinr = phy.compute_sinr(u, ap_id, active, links, medium.powers, medium.precoders, drop.link.noise_sta_mw)
+    for ap_id, tx in medium.tx.items():
+        for u in tx.precoder.user_map:  # a STA's frame serves no user
+            sinr = phy.compute_sinr(u, ap_id, medium.tx, drop.table, drop.link.noise_sta_mw)
             sinr_db = 10.0 * np.log10(sinr)
             user_sinr_db[u] = float(sinr_db)
             user_rate[u] = phy.map_rate(sinr_db, drop.link.rate_table)
 
     return RoundOutcome(
         attempts=attempts,
-        active_ids=active,
-        scheduled=dict(medium.scheduled),
+        transmissions=medium.tx,
         user_sinr_db=user_sinr_db,
         user_rate_bps=user_rate,
     )

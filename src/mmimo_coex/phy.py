@@ -79,34 +79,32 @@ def received_power(p, g, h, w):
     return p * g * np.vdot(a, a).real
 
 
-def compute_sinr(user_id, serving_id, active_ids, links, powers, precoders, noise_mw):
+def compute_sinr(user_id, serving_id, transmissions, links, noise_mw):
     """Per-subcarrier SINR of a scheduled single-antenna user.
 
     Signal: P_a g |h^H w_user|^2 for the user's own precoder column.
-    Interference: every other active transmitter contributes its
-    `received_power` P_j g ||H^H W_j||^2, summed over all its streams, plus
-    the residual intra-cell leakage of the serving AP's other columns; noise
-    closes the denominator. `links` maps (user_id, tx_id) to
-    (slow_gain_linear, H) with H of shape (M_tx, 1), or the Python complex h
-    of a single-antenna transmitter, as `ChannelTable.link_h` returns them.
+    Interference: every other transmission contributes its `received_power`
+    P_j g ||H^H W_j||^2, summed over all its streams, plus the residual
+    intra-cell leakage of the serving AP's other columns; noise closes the
+    denominator. `transmissions` maps each transmitter to its `power_mw` and
+    `precoder`. `links[user_id, tx_id]`, read once per transmission in that
+    order, is (slow_gain_linear, H) with H of shape (M_tx, 1), or the Python
+    complex h of a single-antenna transmitter, as `ChannelTable` gives them.
     """
-    w_serv = precoders[serving_id]
+    w_serv = transmissions[serving_id].precoder
     stream = w_serv.user_map.index(user_id)
-    g_serv, h_serv = links[(user_id, serving_id)]
-    p_serv = powers[serving_id] * g_serv
-    if isinstance(h_serv, complex):
-        signal, intra = p_serv * abs(h_serv.conjugate() * w_serv.W.item()) ** 2, 0.0
-    else:
-        amps = (h_serv.conj().T @ w_serv.W)[0]
-        signal = p_serv * abs(amps[stream]) ** 2
-        amps[stream] = 0.0  # what remains is the leakage of the other streams
-        intra = p_serv * np.vdot(amps, amps).real
-
     inter = 0.0
-    for tx_id in active_ids:
+    for tx_id, tx in transmissions.items():
+        g, h = links[user_id, tx_id]
         if tx_id != serving_id:
-            g, h = links[(user_id, tx_id)]
-            inter += received_power(powers[tx_id], g, h, precoders[tx_id].W)
+            inter += received_power(tx.power_mw, g, h, tx.precoder.W)
+        elif isinstance(h, complex):
+            signal, intra = tx.power_mw * g * abs(h.conjugate() * w_serv.W.item()) ** 2, 0.0
+        else:
+            amps = (h.conj().T @ w_serv.W)[0]
+            signal = tx.power_mw * g * abs(amps[stream]) ** 2
+            amps[stream] = 0.0  # what remains is the leakage of the other streams
+            intra = tx.power_mw * g * np.vdot(amps, amps).real
     return signal / (inter + intra + noise_mw)
 
 

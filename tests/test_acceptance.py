@@ -17,7 +17,7 @@ from conftest import brute_force_sinr, crandn
 from mmimo_coex.beamforming import PrecoderSet, dominant_subspace, residual_power, zf_precoder, zf_with_nulls
 from mmimo_coex.channel import los_probability, received_covariance
 from mmimo_coex.config import ScenarioConfig
-from mmimo_coex.engine import CENTRAL_AP, run_simulation
+from mmimo_coex.engine import CENTRAL_AP, Transmission, run_simulation
 from mmimo_coex.geometry import NodeDescriptor, ROLE_AP
 from mmimo_coex.phy import compute_sinr, noise_power, tx_power
 from mmimo_coex.results import emit_results
@@ -125,7 +125,7 @@ def test_c3_sinr_oracle_equivalence():
             links[(user, t)] = (float(10 ** rng.uniform(-12, -6)), crandn(rng, m, 1))
         noise = float(10 ** rng.uniform(-12, -9))
         active = tuple(powers)
-        fast = compute_sinr(user, 0, active, links, powers, precoders, noise)
+        fast = compute_sinr(user, 0, {t: Transmission(powers[t], precoders[t], 0) for t in active}, links, noise)
         slow = brute_force_sinr(user, 0, active, links, powers, precoders, noise)
         worst = max(worst, abs(fast - slow) / slow)
     elapsed = time.perf_counter() - start

@@ -326,6 +326,23 @@ def test_a_single_antenna_link_is_its_python_complex(scenario):
     assert (table._pair_slot, rng.bit_generator.state) == (slot, state)  # a repeated read takes no slot
 
 
+def test_a_table_read_is_the_slow_gain_and_link_h_of_its_pair():
+    table, rng = _drop_table("B", 4)
+    x, m = table.array_node, table.array_size
+    scalar = [(3, 4), (4, 3), (0, 7), (7, 0)]
+    array = [(x, 5), (5, x), (x, 2), (2, x)]
+    first = {pair: table[pair] for pair in scalar + array}
+    assert all(type(first[pair][1]) is complex for pair in scalar)
+    assert [first[pair][1].shape for pair in array] == [(1, m), (m, 1)] * 2
+    slots, state = (table._pair_slot, table._row_slot), rng.bit_generator.state
+    for (rx, tx), (g, h) in first.items():
+        assert type(g) is float and g == table.slow_gain.item(rx, tx)
+        assert np.array_equal(h, table.link_h(rx, tx))
+        again = table[rx, tx]
+        assert again[0] == g and np.array_equal(again[1], h)
+    assert (table._pair_slot, table._row_slot, rng.bit_generator.state) == (*slots, state)  # no new slot
+
+
 def test_resample_makes_no_draw():
     table, rng = _drop_table("C", 1)
     table.scalar_h(3, 4)

@@ -44,7 +44,7 @@ def test_no_traffic_round_is_empty():
     drop = init_drop(cfg, np.random.SeedSequence(1))
     out = run_round(drop, 0)
     assert out.attempts == []
-    assert out.active_ids == ()
+    assert out.transmissions == {}
     assert out.user_rate_bps == {}
     assert run_drop(cfg, np.random.SeedSequence(1)).ap_attempts == (0, 0, 0)
 
@@ -82,9 +82,9 @@ def test_attempt_accounting_matches_outcome():
         assert set(np.flatnonzero(np.subtract(after.ap_attempts, before.ap_attempts))) == contending
         assert set(np.flatnonzero(np.subtract(after.ap_grants, before.ap_grants))) == granted
         assert len(after.sinr_db) - len(before.sinr_db) == len(out.user_sinr_db)
-        # a granted AP either scheduled users or had its grant voided
+        # a granted AP transmits to scheduled users; a voided grant is not granted
         for ap_id in granted:
-            assert ap_id in out.scheduled
+            assert out.transmissions[ap_id].precoder.user_map
         before = after
 
 
@@ -188,8 +188,8 @@ def _elbt_ccas(monkeypatch, seeds, **overrides):
         sub = medium._covariance_subspace(x)
         m = drop.nodes[x].num_antennas
         noise = medium._noise(x) * (m - sub.n_dominant) / m
-        rows = table.array_rows(medium.active)
-        scales = [medium.powers[t] * table.slow_gain[x, t] / m for t in medium.active]
+        rows = table.array_rows(list(medium.tx))
+        scales = [tx.power_mw * table.slow_gain[x, t] / m for t, tx in medium.tx.items()]
         residuals = [c * beamforming.residual_power(sub, v) for c, v in zip(scales, rows)]
         own_cell = set(drop.sched.served[x])
         ccas.append(
@@ -199,8 +199,8 @@ def _elbt_ccas(monkeypatch, seeds, **overrides):
                 unfiltered=medium._noise(x) + sum(c * np.vdot(v, v).real for c, v in zip(scales, rows)),
                 noise=noise,
                 spanned=sub.n_dominant == len(drop.nodes) - 1 - len(own_cell),
-                own_active=own_cell & set(medium.active),
-                sources=len(medium.active),
+                own_active=own_cell & set(medium.tx),
+                sources=len(medium.tx),
             )
         )
         return statistic
@@ -451,7 +451,7 @@ def test_lone_user_with_zero_channel_voids_the_grant(monkeypatch):
     monkeypatch.setattr(drop.table, "array_rows", lambda ids: np.zeros((len(ids), cfg.mmimo_antennas), dtype=complex))
     (attempt,) = mac.contend([(CENTRAL_AP, mac.MODE_LBT)], medium, drop.rng, cfg.cw_slots)
     assert not attempt.granted and attempt.defer_cause == mac.DEFER_NONE
-    assert medium.active == [] and medium.scheduled == {}
+    assert medium.tx == {}
     assert medium.activate(CENTRAL_AP) is False
 
 
@@ -522,8 +522,9 @@ def test_scenario_c_partition_members_follow_phase():
     for r in range(10):
         phase = round_phase(cfg, r)
         out = run_round(drop, r)
-        users = out.scheduled.get(CENTRAL_AP, ())
-        assert set(users) <= drop.sched.partition[CENTRAL_AP][phase]
+        if CENTRAL_AP in out.transmissions:
+            users = out.transmissions[CENTRAL_AP].precoder.user_map
+            assert set(users) <= drop.sched.partition[CENTRAL_AP][phase]
 
 
 def test_each_ap_decides_its_dl_candidates_once_per_round(monkeypatch):
@@ -628,19 +629,27 @@ def test_round_outcomes_keep_engine_invariants(scenario, p_tr, ul_fraction, n_st
         medium = media[-1]
         nodes = [a.node_id for a in out.attempts]
         assert len(nodes) == len(set(nodes))  # one attempt per node and round
-        assert out.active_ids == tuple(a.node_id for a in out.attempts if a.granted)
-        for ap_id, users in out.scheduled.items():
-            assert set(users) <= set(drop.sched.served[ap_id])
-            streams = medium.precoders[ap_id].W.shape[1]
+        granted = [a for a in out.attempts if a.granted]
+        assert tuple(out.transmissions) == tuple(a.node_id for a in granted)
+        assert [tx.start_slot for tx in out.transmissions.values()] == [a.backoff_slot for a in granted]
+        for node_id, tx in out.transmissions.items():
+            node, users = drop.nodes[node_id], tx.precoder.user_map
+            if node.role != ROLE_AP:
+                assert tx.precoder is engine._STA_PRECODER and users == () and tx.n_nulls == 0
+                assert tx.power_mw == drop.max_power_mw[node_id]
+                continue
+            assert users and set(users) <= set(drop.sched.served[node_id])
+            streams = tx.precoder.W.shape[1]
             assert streams == len(users)
-            assert streams + medium.null_counts[ap_id] <= drop.nodes[ap_id].num_antennas
-            if medium.access_mode(ap_id) == mac.MODE_ELBT:
+            assert streams + tx.n_nulls <= node.num_antennas
+            assert tx.power_mw == engine._tx_power_mw(node.max_power_dbm, node.num_antennas, tx.n_nulls, streams)
+            if medium.access_mode(node_id) == mac.MODE_ELBT:
                 # one null per node outside the cell, up to n_nulls
-                r = len(drop.nodes) - 1 - len(drop.sched.served[ap_id])
-                assert medium.null_counts[ap_id] == min(cfg.n_nulls, r)
+                r = len(drop.nodes) - 1 - len(drop.sched.served[node_id])
+                assert tx.n_nulls == min(cfg.n_nulls, r)
             else:
-                assert medium.null_counts[ap_id] == 0
-        assert set(out.user_sinr_db) == {u for users in out.scheduled.values() for u in users}
+                assert tx.n_nulls == 0
+        assert set(out.user_sinr_db) == {u for tx in out.transmissions.values() for u in tx.precoder.user_map}
         assert all(np.isfinite(v) for v in out.user_sinr_db.values())
         return out
 
@@ -766,12 +775,14 @@ def test_scalar_links_give_the_array_form_sinr_and_sensing(scenario, monkeypatch
     real_sinr, real_sensed = phy.compute_sinr, RoundMedium.sensed_rx
     sinr_of, kinds, sensed = {}, set(), []
 
-    def sinr_spy(user, serving, active, links, powers, precoders, noise):
-        sinr = real_sinr(user, serving, active, links, powers, precoders, noise)
-        # every link of this user was read for `links`, so link_h takes no new slot
-        arrays = {key: (g, np.atleast_2d(table.link_h(*key))) for key, (g, _) in links.items()}
-        assert sinr == pytest.approx(real_sinr(user, serving, active, arrays, powers, precoders, noise), rel=1e-12)
-        kinds.update(type(h) for _, h in links.values())
+    def sinr_spy(user, serving, transmissions, links, noise):
+        assert links is table
+        sinr = real_sinr(user, serving, transmissions, links, noise)
+        # every link of this user was read, so the reads below take no new slot
+        read = {(user, t): table[user, t] for t in transmissions}
+        arrays = {key: (g, np.atleast_2d(h)) for key, (g, h) in read.items()}
+        assert sinr == pytest.approx(real_sinr(user, serving, transmissions, arrays, noise), rel=1e-12)
+        kinds.update(type(h) for _, h in read.values())
         sinr_of[user] = sinr
         return sinr
 
@@ -779,11 +790,11 @@ def test_scalar_links_give_the_array_form_sinr_and_sensing(scenario, monkeypatch
         total, per_source = real_sensed(medium, rx, cca_slot)
         m = drop.nodes[rx].num_antennas
         reference = medium._noise(rx)
-        for t in medium.active:
-            amps = np.atleast_2d(table.link_h(rx, t)).conj().T @ medium.precoders[t].W
-            reference += medium.powers[t] * table.slow_gain[rx, t] * np.sum(np.abs(amps) ** 2) / m
+        for t, tx in medium.tx.items():
+            amps = np.atleast_2d(table.link_h(rx, t)).conj().T @ tx.precoder.W
+            reference += tx.power_mw * table.slow_gain[rx, t] * np.sum(np.abs(amps) ** 2) / m
         assert total == pytest.approx(reference, rel=1e-12)
-        sensed.append(len(medium.active))
+        sensed.append(len(medium.tx))
         return total, per_source
 
     monkeypatch.setattr(engine.phy, "compute_sinr", sinr_spy)

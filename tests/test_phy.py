@@ -15,6 +15,7 @@ from mmimo_coex.phy import (
     tx_power,
 )
 from mmimo_coex.beamforming import PrecoderSet, zf_precoder
+from mmimo_coex.engine import Transmission
 from mmimo_coex.units import mw_to_dbm
 
 
@@ -116,16 +117,16 @@ def test_received_power_rejects_a_complex_link_to_a_multi_antenna_precoder():
 # ---- SINR -----------------------------------------------------------------------
 
 
-def _single_link_setup(p_mw, g, h):
-    links = {(10, 0): (g, np.array([[h]], dtype=complex))}
-    precoders = {0: PrecoderSet(W=np.array([[1.0]], dtype=complex), user_map=(10,))}
-    return links, precoders, {0: p_mw}
+def _transmissions(ids, powers, precoders):
+    """The Transmission records of `ids`, in that order, from parallel maps."""
+    return {t: Transmission(powers[t], precoders[t], 0) for t in ids}
 
 
 def test_sinr_no_interferers():
     h = 0.8 - 0.3j
-    links, precoders, powers = _single_link_setup(100.0, 1.0, h)
-    sinr = compute_sinr(10, 0, (0,), links, powers, precoders, noise_mw=1e-6)
+    links = {(10, 0): (1.0, np.array([[h]], dtype=complex))}
+    tx = {0: Transmission(100.0, PrecoderSet(W=np.array([[1.0]], dtype=complex), user_map=(10,)), 0)}
+    sinr = compute_sinr(10, 0, tx, links, noise_mw=1e-6)
     assert sinr == pytest.approx(100.0 * abs(h) ** 2 / 1e-6, rel=1e-12)
 
 
@@ -142,7 +143,7 @@ def test_sinr_zf_kills_intra_cell():
         signal = abs(amps[i]) ** 2
         leak = np.sum(np.abs(np.delete(amps, i)) ** 2)
         assert leak < 1e-8 * signal
-        sinr = compute_sinr(u, 0, (0,), links, powers, {0: precoder}, noise_mw=1e-9)
+        sinr = compute_sinr(u, 0, {0: Transmission(powers[0], precoder, 0)}, links, noise_mw=1e-9)
         assert sinr == pytest.approx(powers[0] * signal / (powers[0] * leak + 1e-9), rel=1e-9)
 
 
@@ -172,7 +173,7 @@ def test_sinr_matches_brute_force():
         user, links, powers, precoders = _random_instance(rng)
         noise = float(10 ** rng.uniform(-12, -9))
         active = tuple(powers)
-        fast = compute_sinr(user, 0, active, links, powers, precoders, noise)
+        fast = compute_sinr(user, 0, _transmissions(active, powers, precoders), links, noise)
         slow = brute_force_sinr(user, 0, active, links, powers, precoders, noise)
         assert fast == pytest.approx(slow, rel=1e-10)
 
@@ -182,8 +183,8 @@ def test_removing_interferer_never_hurts():
     for _ in range(50):
         user, links, powers, precoders = _random_instance(rng)
         noise = 1e-10
-        full = compute_sinr(user, 0, tuple(powers), links, powers, precoders, noise)
-        reduced = compute_sinr(user, 0, tuple(t for t in powers if t != 1), links, powers, precoders, noise)
+        full = compute_sinr(user, 0, _transmissions(powers, powers, precoders), links, noise)
+        reduced = compute_sinr(user, 0, _transmissions([t for t in powers if t != 1], powers, precoders), links, noise)
         assert reduced >= full - 1e-15
 
 
@@ -199,12 +200,13 @@ def test_sinr_of_complex_scalar_links_matches_brute_force_and_array_form():
         user, links, powers, precoders = _random_instance(rng, antenna_choices=(1, 1, 1, 4, 36))
         noise = float(10 ** rng.uniform(-12, -9))
         active = tuple(powers)
+        tx = _transmissions(active, powers, precoders)
         scalar_links = _complex_scalar_links(links)
         kinds = {isinstance(h, complex) for _, h in scalar_links.values()}
         scalar_serving += isinstance(scalar_links[(user, 0)][1], complex)
         mixed += kinds == {True, False}
-        fast = compute_sinr(user, 0, active, scalar_links, powers, precoders, noise)
-        array_form = compute_sinr(user, 0, active, links, powers, precoders, noise)
+        fast = compute_sinr(user, 0, tx, scalar_links, noise)
+        array_form = compute_sinr(user, 0, tx, links, noise)
         oracle = brute_force_sinr(user, 0, active, links, powers, precoders, noise)
         assert fast == pytest.approx(oracle, rel=1e-12)
         assert fast == pytest.approx(array_form, rel=1e-12)
@@ -220,4 +222,39 @@ def test_sinr_rejects_a_complex_link_to_a_multi_antenna_precoder(wide):
     precoders[0].user_map = (10,)
     links = {(10, 0): (1.0, 0.6 + 0.8j), (10, 1): (1.0, 0.5 - 0.5j)}
     with pytest.raises(ValueError):
-        compute_sinr(10, 0, (0, 1), links, {0: 1.0, 1: 1.0}, precoders, 1e-9)
+        compute_sinr(10, 0, _transmissions((0, 1), {0: 1.0, 1: 1.0}, precoders), links, 1e-9)
+
+
+class _RecordingLinks(dict):
+    """A links map that records the keys it is read at, in order."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.reads = []
+
+    def __getitem__(self, key):
+        self.reads.append(key)
+        return super().__getitem__(key)
+
+
+def test_sinr_reads_each_link_once_in_admission_order():
+    # the serving transmitter 0 is admitted neither first nor last
+    rng = np.random.default_rng(5)
+    user, order = 100, (3, 1, 0, 4, 2)
+    links, powers, precoders = _RecordingLinks(), {}, {}
+    antennas = {0: 36, 1: 1, 2: 4, 3: 1, 4: 36}
+    for t in order:
+        m = antennas[t]
+        w = crandn(rng, m, min(m, 2))
+        precoders[t] = PrecoderSet(W=w / np.linalg.norm(w), user_map=(user, 101)[: w.shape[1]] if t == 0 else ())
+        powers[t] = float(10 ** rng.uniform(0, 2))
+        links[(user, t)] = (float(10 ** rng.uniform(-9, -6)), crandn(rng, m, 1))
+    sinr = compute_sinr(user, 0, _transmissions(order, powers, precoders), links, 1e-9)
+    assert links.reads == [(user, t) for t in order]
+    assert sinr == pytest.approx(brute_force_sinr(user, 0, order, links, powers, precoders, 1e-9), rel=1e-12)
+
+
+def test_sinr_of_an_unknown_serving_transmitter_raises_key_error():
+    tx = _transmissions((1,), {1: 1.0}, {1: PrecoderSet(W=np.ones((1, 1), dtype=complex), user_map=(10,))})
+    with pytest.raises(KeyError):
+        compute_sinr(10, 0, tx, {(10, 1): (1.0, 0.6 + 0.8j)}, 1e-9)

@@ -218,8 +218,9 @@ def test_percentile_and_median_equal_numpys_bit_for_bit(samples):
 
 
 def test_emit_results_leaves_numpy_ma_unimported(tmp_path):
-    """np.median and np.percentile import numpy.ma on first use, which a fresh
-    process would pay for inside emit_results."""
+    """np.median and np.percentile import numpy.ma on first use, and
+    statistics imports fractions and decimal, which a fresh process would pay
+    for inside emit_results."""
     script = f"""
 import sys
 from mmimo_coex import ScenarioConfig
@@ -228,11 +229,11 @@ from mmimo_coex.results import emit_results
 for out_format in ("csv", "json"):
     cfg = ScenarioConfig(n_drops=2, n_rounds=3, out_dir={str(tmp_path)!r} + "/" + out_format, out_format=out_format)
     emit_results(run_simulation(cfg))
-print("numpy.ma" in sys.modules)
+print("numpy.ma" in sys.modules, "statistics" in sys.modules)
 """
     src = str(pathlib.Path(mmimo_coex.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
     assert run.returncode == 0, run.stderr
-    assert run.stdout == "False\n"
+    assert run.stdout == "False False\n"
     assert (tmp_path / "json" / "results.json").exists() and (tmp_path / "csv" / "samples.csv").exists()
